@@ -18,7 +18,7 @@ namespace ccf {
 
 /// \brief Non-owning Bloom filter over a window of bits.
 ///
-/// Probing uses double hashing like BloomFilter. An item here is an
+/// Probing uses double hashing (h1 + i * h2). An item here is an
 /// (attribute index, value) pair encoded into one 64-bit word.
 class BloomSketchView {
  public:

@@ -188,30 +188,6 @@ bool BloomCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   return true;
 }
 
-bool BloomCcf::EraseRowAddressed(const BucketPair& pair, uint32_t fp,
-                                 uint64_t payload) {
-  // A Bloom entry is the OR-fold of every row of the key that landed on its
-  // fingerprint, so a physical delete is only safe when the entry's sketch
-  // word EQUALS the erased row's word — i.e. nothing else was folded in (or
-  // everything folded is a sketch-subset of this row, which the caller must
-  // rule out by erasing only when no other live rows of the key remain; see
-  // ShardedCcf's key-liveness gate). Entries with extra bits set are
-  // residue for compaction.
-  uint64_t hit_b = 0;
-  int hit_s = -1;
-  ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
-    if (table_->GetPayloadField(b, s, 0, config_.bloom_bits) == payload) {
-      hit_b = b;
-      hit_s = s;
-      return true;
-    }
-    return false;
-  });
-  if (hit_s < 0) return false;
-  table_->Erase(hit_b, hit_s);
-  return true;
-}
-
 bool BloomCcf::ContainsKey(uint64_t key) const {
   uint64_t bucket;
   uint32_t fp;

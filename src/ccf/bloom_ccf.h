@@ -50,8 +50,6 @@ class BloomCcf : public CcfBase {
                        uint64_t payload) override;
   Status InsertAddressed(const BucketPair& pair, uint32_t fp,
                          std::span<const uint64_t> attrs) override;
-  bool EraseRowAddressed(const BucketPair& pair, uint32_t fp,
-                         uint64_t payload) override;
 
  private:
   BloomCcf(CcfConfig config, BucketTable table);

@@ -353,16 +353,6 @@ bool CcfBase::ContainsKeyAddressedExcluding(
       .second;
 }
 
-bool CcfBase::EraseRowMemoized(uint64_t key_hash, uint64_t payload) {
-  if (table_->slot_bits() > 64) return false;  // no packed payload word
-  EnsureTableUnique();
-  uint64_t bucket;
-  uint32_t fp;
-  cuckoo_addressing::IndexAndFingerprintFromHash(
-      key_hash, table_->bucket_mask(), config_.key_fp_bits, &bucket, &fp);
-  return EraseRowAddressed(PairOf(bucket, fp), fp, payload);
-}
-
 Status CcfBase::InsertBatch(std::span<const uint64_t> keys,
                             std::span<const uint64_t> attrs,
                             std::vector<uint64_t>* hash_memo) {

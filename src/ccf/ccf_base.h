@@ -128,7 +128,8 @@ class CcfBase : public ConditionalCuckooFilter {
   /// ContainsAddressed with staged-erase exclusions (ShardedCcf's tombstone
   /// overlay): entries whose FULL payload word equals one of `excluded` are
   /// treated as non-matching, but still count toward chain saturation —
-  /// they are physically present until commit reclaims them, so the walk
+  /// they stay physically present (commit leaves erased entries as
+  /// one-sided residue, false positives only, until a rebuild), so the walk
   /// topology is unchanged and unrelated keys keep their no-false-negative
   /// guarantee. `excluded` holds packed payload memo words of erased row
   /// classes of THE QUERIED KEY only (the caller matched them by exact key),
@@ -147,23 +148,10 @@ class CcfBase : public ConditionalCuckooFilter {
   virtual bool ContainsKeyAddressedExcluding(
       uint64_t bucket, uint32_t fp, std::span<const uint64_t> excluded) const;
 
-  /// Best-effort physical deletion of ONE entry of the row class identified
-  /// by its geometry-independent memo words (MemoizeRow output: salt-keyed
-  /// key hash + packed payload). Duplicate-count aware per variant: the
-  /// chained variant only deletes from an unsaturated (terminal) pair so
-  /// walk reachability and the §7.1 first-pair invariant survive; the Bloom
-  /// variant only deletes an entry whose sketch word equals the row's
-  /// (unfolded) word; Mixed skips converted fragments. Returns true when an
-  /// entry was deleted; false leaves residue for compaction to reclaim
-  /// (one-sided: residue can only cause false positives, never false
-  /// negatives). No-op (false) when slot_bits() > 64.
-  bool EraseRowMemoized(uint64_t key_hash, uint64_t payload);
-
-  /// Overrides the logical row count. Class erases kill rows no variant
-  /// hook can count — one entry may stand for several collapsed
-  /// duplicates, and unreclaimable residue skips the hook entirely — so
-  /// the sharded CRUD commit sets the count from its retained-log plan,
-  /// which is exact.
+  /// Overrides the logical row count. ShardedCcf stamps every shard table
+  /// it publishes with the live row count of the shard's row log, which
+  /// counts exact duplicates per row and drops erased rows — neither of
+  /// which the table itself can see.
   void SetNumRows(uint64_t n) { num_rows_ = n; }
 
   /// Prefetched two-pass batch lookup (see ConditionalCuckooFilter): pass 1
@@ -326,12 +314,6 @@ class CcfBase : public ConditionalCuckooFilter {
   /// (Algorithm 3/4 placement with kicks / chain walk / conversion).
   virtual Status InsertAddressed(const BucketPair& pair, uint32_t fp,
                                  std::span<const uint64_t> attrs) = 0;
-
-  /// Variant hook of EraseRowMemoized: delete one entry of the addressed
-  /// row class if a duplicate-safe deletion exists (see EraseRowMemoized).
-  /// The table is already unshared; callers guarantee slot_bits() <= 64.
-  virtual bool EraseRowAddressed(const BucketPair& pair, uint32_t fp,
-                                 uint64_t payload) = 0;
 
   /// An entry's full payload word — what the packed wave-1 paths store and
   /// what the memo's payload word equals for every variant (vector packs,

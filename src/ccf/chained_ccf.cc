@@ -138,49 +138,6 @@ bool ChainedCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   return true;
 }
 
-bool ChainedCcf::EraseRowAddressed(const BucketPair& first_pair, uint32_t fp,
-                                   uint64_t payload) {
-  // Walk the chain for the exact (fp, packed vector) entry. Deletion is
-  // only safe from an UNSATURATED pair: removing a copy from a pair
-  // holding max_dupes copies would stop every future walk there, stranding
-  // entries further down the chain (false negatives), and could break the
-  // §7.1 first-pair invariant. An unsaturated pair is by construction the
-  // chain's terminal pair, so nothing lives beyond it and erasing is safe.
-  // Saturated matches are left as residue for compaction.
-  const int vec_bits = codec_.vector_bits();
-  std::optional<ChainWalk> walk;
-  BucketPair pair = first_pair;
-  for (int hop = 0; hop < ChainCap(); ++hop) {
-    if (hop > 0) pair = walk->pair();
-    uint64_t hit_b = 0;
-    int hit_s = -1;
-    // Count the WHOLE pair (no short-circuit): saturation decides both
-    // deletability and chain continuation.
-    auto [count, matched] = ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
-      if (hit_s < 0 &&
-          table_->GetPayloadField(b, s, 0, vec_bits) == payload) {
-        hit_b = b;
-        hit_s = s;
-      }
-      return false;
-    });
-    (void)matched;
-    if (hit_s >= 0) {
-      if (count >= config_.max_dupes) return false;  // residue: compaction
-      table_->Erase(hit_b, hit_s);
-      return true;
-    }
-    if (count != config_.max_dupes) return false;  // chain ends: not found
-    if (hop + 1 < ChainCap()) {
-      if (!walk) {
-        walk.emplace(&hasher_, table_->bucket_mask(), first_pair.primary, fp);
-      }
-      walk->Advance();
-    }
-  }
-  return false;
-}
-
 bool ChainedCcf::ContainsKey(uint64_t key) const {
   uint64_t bucket;
   uint32_t fp;
@@ -209,10 +166,10 @@ bool ChainedCcf::ContainsAddressedExcluding(
     std::span<const uint64_t> excluded) const {
   if (excluded.empty()) return ContainsAddressed(bucket, fp, pred);
   CCF_DCHECK(table_->slot_bits() <= 64);
-  // Excluded entries are physically present until commit reclaims them, so
-  // the walk's saturation counts (ScanPairWithFp's totals) are unchanged;
-  // they merely stop matching. The terminal all-saturated case still
-  // answers true — one-sided, exactly like any other false positive.
+  // Excluded entries stay physically present (a commit leaves them as
+  // residue), so the walk's saturation counts (ScanPairWithFp's totals) are
+  // unchanged; they merely stop matching. The terminal all-saturated case
+  // still answers true — one-sided, exactly like any other false positive.
   return WalkContains(PairOf(bucket, fp), fp, [&](uint64_t b, int s) {
     return !PayloadExcluded(EntryPayloadWord(b, s), excluded) &&
            VectorEntryMatches(*table_, b, s, /*base=*/0, codec_, pred);

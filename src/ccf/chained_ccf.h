@@ -65,8 +65,6 @@ class ChainedCcf : public CcfBase {
                        uint64_t payload) override;
   Status InsertAddressed(const BucketPair& pair, uint32_t fp,
                          std::span<const uint64_t> attrs) override;
-  bool EraseRowAddressed(const BucketPair& pair, uint32_t fp,
-                         uint64_t payload) override;
   void SaveExtras(ByteWriter* writer) const override;
   Status LoadExtras(ByteReader* reader) override;
 

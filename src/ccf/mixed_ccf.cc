@@ -278,30 +278,6 @@ bool MixedCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   return true;
 }
 
-bool MixedCcf::EraseRowAddressed(const BucketPair& pair, uint32_t fp,
-                                 uint64_t payload) {
-  // Deletion only reclaims UNCONVERTED vector entries: `payload` is the
-  // packed vector shifted to vec_base_ with mode bit 0, while converted
-  // fragments carry mode bit 1, so the full payload-word equality can never
-  // hit a fragment. Rows folded into a packed Bloom sketch are
-  // irrecoverable in place (OR-folded bits are shared) and stay as residue
-  // until compaction rebuilds the pair from surviving rows.
-  const int payload_bits = table_->payload_bits();
-  uint64_t hit_b = 0;
-  int hit_s = -1;
-  ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
-    if (table_->GetPayloadField(b, s, 0, payload_bits) == payload) {
-      hit_b = b;
-      hit_s = s;
-      return true;
-    }
-    return false;
-  });
-  if (hit_s < 0) return false;
-  table_->Erase(hit_b, hit_s);
-  return true;
-}
-
 bool MixedCcf::ContainsKey(uint64_t key) const {
   uint64_t bucket;
   uint32_t fp;

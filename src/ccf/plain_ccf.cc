@@ -110,27 +110,6 @@ bool PlainCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   return true;
 }
 
-bool PlainCcf::EraseRowAddressed(const BucketPair& pair, uint32_t fp,
-                                 uint64_t payload) {
-  // Pair-local: the row class (fp, packed vector) is at most one entry
-  // (inserts collapse duplicates), so deleting the exact-word match
-  // reclaims the class without disturbing other rows of the key.
-  const int vec_bits = codec_.vector_bits();
-  uint64_t hit_b = 0;
-  int hit_s = -1;
-  ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
-    if (table_->GetPayloadField(b, s, 0, vec_bits) == payload) {
-      hit_b = b;
-      hit_s = s;
-      return true;
-    }
-    return false;
-  });
-  if (hit_s < 0) return false;
-  table_->Erase(hit_b, hit_s);
-  return true;
-}
-
 bool PlainCcf::ContainsKey(uint64_t key) const {
   uint64_t bucket;
   uint32_t fp;

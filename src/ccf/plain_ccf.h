@@ -47,8 +47,6 @@ class PlainCcf : public CcfBase {
                        uint64_t payload) override;
   Status InsertAddressed(const BucketPair& pair, uint32_t fp,
                          std::span<const uint64_t> attrs) override;
-  bool EraseRowAddressed(const BucketPair& pair, uint32_t fp,
-                         uint64_t payload) override;
 
  private:
   PlainCcf(CcfConfig config, BucketTable table);

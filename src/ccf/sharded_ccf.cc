@@ -6,7 +6,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "cuckoo/cuckoo_filter.h"
@@ -271,7 +270,10 @@ Status ShardedCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
     // resize would silently resurrect a row the caller was told failed.
     LogTruncate(shard, old_rows);
   }
-  if (st.ok()) MaybeScheduleWatermarkResize(ShardOf(key), shard);
+  if (st.ok()) {
+    StampLiveRows(shard, shard.handle.writable());
+    MaybeScheduleWatermarkResize(ShardOf(key), shard);
+  }
   return st;
 }
 
@@ -479,254 +481,108 @@ Status ShardedCcf::BufferUpdate(uint64_t key,
 }
 
 Status ShardedCcf::CommitShardLocked(size_t s, Shard& shard) {
-  // The clone's copy-on-write unshare below allocates the replacement
-  // table: bind those pages to the shard's node.
+  // The clone's copy-on-write unshare (or a fallback rebuild) allocates the
+  // replacement table: bind those pages to the shard's node.
   ScopedNumaAllocNode alloc_scope(AllocNode(shard));
   WriteBuffer* pending = shard.pending.load(std::memory_order_relaxed);
-  size_t n = pending ? pending->size_unsync() : 0;
+  const size_t n = pending ? pending->size_unsync() : 0;
   if (n == 0) return Status::OK();
-  if (pending->num_erases_unsync() > 0) return CommitShardCrudLocked(s, shard);
-
-  std::span<const uint64_t> keys = pending->keys(n);
-  std::span<const uint64_t> attrs = pending->attrs(n);
-  std::span<const uint64_t> memo = pending->memo(n);
-
-  // Build the staged rows into a copy-on-write clone OFF the serving path:
-  // Clone shares the published table, and the clone's InsertBatch unshares
-  // it before the first write, so readers of the published snapshot never
-  // observe intermediate placement. The staged memo words feed InsertBatch's
-  // reuse path — commit re-masks, it never re-hashes.
   CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> clone,
                        shard.handle.writable()->Clone());
-  std::vector<uint64_t> memo_words(memo.begin(), memo.end());
-  Status st = clone->InsertBatch(keys, attrs, &memo_words);
 
-  bool committed = false;
-  if (st.ok()) {
-    shard.handle.Publish(std::move(clone));
-    committed = true;
-  } else if (st.code() == StatusCode::kCapacityError && resizable_ &&
-             options_.max_auto_resizes > 0) {
-    // The clone could not absorb the batch: fall back to the auto-resize
-    // doubling rebuild from the retained log WITH the pending rows appended
-    // (a successful rebuild publishes a table containing them).
-    size_t logged_rows = shard.keys.size();
-    LogAppendRows(shard, keys, attrs, memo);
-    Status grown = GrowShardLocked(shard, std::move(st));
-    if (!grown.ok()) {
-      // No attempt published: un-append so the log mirrors exactly the
-      // committed row set, and keep the rows staged for a retry.
-      LogTruncate(shard, logged_rows);
-      return grown;
+  // Plan the batch's net effect on the log. An erase record kills its
+  // (key, payload) class: the committed log rows found through the key
+  // index are marked dead, and matching inserts staged BEFORE it in this
+  // batch never land. Dead rows' table entries stay as one-sided residue
+  // (false positives only) until a rebuild from the survivors. An
+  // erase-free batch passes the staged spans straight through.
+  std::span<const uint64_t> keys = pending->keys(n);
+  std::span<const uint64_t> attrs = pending->attrs(n);
+  std::vector<uint64_t> memo;
+  std::vector<uint64_t> live_keys, live_attrs;
+  std::vector<uint32_t> killed;  // log rows marked dead by this batch
+  if (pending->num_erases_unsync() == 0) {
+    std::span<const uint64_t> staged_memo = pending->memo(n);
+    memo.assign(staged_memo.begin(), staged_memo.end());
+  } else {
+    EnsureLogIndex(shard);
+    std::vector<uint8_t> dropped(n, 0);  // erase records + killed inserts
+    std::unordered_map<uint64_t, std::vector<uint32_t>> staged_inserts;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = pending->key(i);
+      if (pending->op(i) == WriteBuffer::kOpInsert) {
+        staged_inserts[key].push_back(static_cast<uint32_t>(i));
+        continue;
+      }
+      dropped[i] = 1;
+      const uint64_t payload = pending->payload(i);
+      if (auto it = staged_inserts.find(key); it != staged_inserts.end()) {
+        for (uint32_t r : it->second) {
+          if (pending->payload(r) == payload) dropped[r] = 1;
+        }
+      }
+      if (auto it = shard.row_index.find(key); it != shard.row_index.end()) {
+        for (uint32_t row : it->second) {
+          if (!shard.dead[row] && shard.memo[2 * row + 1] == payload) {
+            shard.dead[row] = 1;
+            killed.push_back(row);
+          }
+        }
+      }
     }
-    // The rebuild placed the batch (the log already carries it): drop the
-    // overlay (ordering note below) and check the watermark.
-    RetireBuffer(shard,
-                 shard.pending.exchange(nullptr, std::memory_order_seq_cst));
-    MaybeScheduleWatermarkResize(s, shard);
-    return Status::OK();
+    shard.dead_count += killed.size();
+    for (size_t r = 0; r < n; ++r) {
+      if (dropped[r]) continue;
+      live_keys.push_back(pending->key(r));
+      std::span<const uint64_t> row_attrs = pending->attrs_row(r);
+      live_attrs.insert(live_attrs.end(), row_attrs.begin(), row_attrs.end());
+      memo.push_back(pending->key_hash(r));
+      memo.push_back(pending->payload(r));
+    }
+    keys = live_keys;
+    attrs = live_attrs;
   }
+  // Mirror the surviving inserts into the retained log in staging order —
+  // the arrival-order contract that makes a later rebuild bit-identical to
+  // a from-scratch batched build of the live row set.
+  const size_t old_rows = shard.keys.size();
+  if (resizable_) LogAppendRows(shard, keys, attrs, memo);
 
-  if (!committed) {
-    // Commit failed (capacity with auto-resize unavailable, or a non-
-    // capacity error): the rows stay staged and overlay-visible so the
-    // caller can ResizeShard and retry without losing writes.
+  // Build the surviving inserts into the copy-on-write clone OFF the
+  // serving path: Clone shares the published table and InsertBatch unshares
+  // it before the first write, so readers never observe intermediate
+  // placement. The staged memo words feed InsertBatch's reuse path — commit
+  // re-masks, it never re-hashes. An erase-only batch publishes the shared
+  // table unchanged, with only its row count restamped.
+  Status st;
+  if (!keys.empty()) st = clone->InsertBatch(keys, attrs, &memo);
+  if (st.ok()) {
+    StampLiveRows(shard, clone.get());
+    shard.handle.Publish(std::move(clone));
+  }
+  // Capacity fallback: rebuild from the log, which already carries the
+  // batch's net effect (compacting first when residue is what filled the
+  // table).
+  if (st.code() == StatusCode::kCapacityError) {
+    st = GrowShardLocked(shard, std::move(st));
+  }
+  if (!st.ok()) {
+    // Nothing was published: roll the log back exactly (un-append,
+    // un-mark) and keep the records staged and overlay-visible so the
+    // caller can resize and retry without losing writes.
+    if (resizable_) {
+      LogTruncate(shard, old_rows);
+      for (uint32_t row : killed) shard.dead[row] = 0;
+      shard.dead_count -= killed.size();
+    }
     return st;
-  }
-
-  if (resizable_) {
-    // Mirror the batch into the retained row log in staging order — the
-    // same arrival-order contract the in-place paths keep, which is what
-    // makes a later log rebuild bit-identical to a from-scratch batched
-    // build of the full row set.
-    LogAppendRows(shard, keys, attrs, memo);
   }
 
   // Drop the overlay only AFTER the new table is published: between the two
   // swaps a reader may see the rows in both places (harmless — answers are
-  // a union); the reverse order would open a false-negative window.
-  RetireBuffer(shard,
-               shard.pending.exchange(nullptr, std::memory_order_seq_cst));
-  MaybeScheduleWatermarkResize(s, shard);
-  return Status::OK();
-}
-
-Status ShardedCcf::CommitShardCrudLocked(size_t s, Shard& shard) {
-  ScopedNumaAllocNode alloc_scope(AllocNode(shard));
-  WriteBuffer* pending = shard.pending.load(std::memory_order_relaxed);
-  const size_t n = pending->size_unsync();
-  const size_t num_attrs = static_cast<size_t>(config().num_attrs);
-  EnsureLogIndex(shard);
-
-  std::span<const uint64_t> keys = pending->keys(n);
-  std::span<const uint64_t> attrs = pending->attrs(n);
-  std::span<const uint64_t> memo = pending->memo(n);
-
-  // Apply the staged records IN ORDER against a copy-on-write clone: runs
-  // of consecutive inserts go through the batched memo path exactly like
-  // the erase-free commit, and each tombstone (a) plans its log dead-marks
-  // from the key index — the EXACT bookkeeping — and (b) best-effort
-  // reclaims the clone's table entry. In-order application keeps
-  // erase-then-reinsert sequences correct.
-  CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> clone,
-                       shard.handle.writable()->Clone());
-  auto* base = static_cast<CcfBase*>(clone.get());
-
-  // Insert records by key, for in-batch kills (an erase record also kills
-  // matching inserts staged BEFORE it in this very batch) and for the Bloom
-  // key-liveness gate.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> batch_inserts;
-  size_t staged_inserts = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (pending->op(i) == WriteBuffer::kOpInsert) {
-      batch_inserts[pending->key(i)].push_back(static_cast<uint32_t>(i));
-      ++staged_inserts;
-    }
-  }
-
-  std::vector<uint32_t> plan_dead;        // log rows to mark dead on success
-  std::unordered_set<uint32_t> planned;   // dedupe across erase records
-  std::vector<uint8_t> record_dead(n, 0); // staged inserts killed in-batch
-  Status capacity_error = Status::OK();
-  bool capacity_failed = false;
-
-  size_t i = 0;
-  while (i < n) {
-    if (pending->op(i) == WriteBuffer::kOpInsert) {
-      size_t j = i + 1;
-      while (j < n && pending->op(j) == WriteBuffer::kOpInsert) ++j;
-      if (!capacity_failed) {
-        std::vector<uint64_t> memo_words(memo.begin() + 2 * i,
-                                         memo.begin() + 2 * j);
-        Status st = base->InsertBatch(
-            keys.subspan(i, j - i),
-            attrs.subspan(i * num_attrs, (j - i) * num_attrs), &memo_words);
-        if (st.code() == StatusCode::kCapacityError) {
-          // Keep PLANNING the remaining records (the doubled rebuild below
-          // needs the batch's full net effect on the log); stop touching
-          // the doomed clone.
-          capacity_failed = true;
-          capacity_error = std::move(st);
-        } else if (!st.ok()) {
-          // Non-capacity failure: nothing published, nothing logged, rows
-          // stay staged and overlay-visible.
-          return st;
-        }
-      }
-      i = j;
-      continue;
-    }
-    // Erase record: kill the (key, payload) class.
-    const uint64_t key = pending->key(i);
-    const uint64_t payload = pending->payload(i);
-    bool any_dead = false;
-    auto bit = batch_inserts.find(key);
-    if (bit != batch_inserts.end()) {
-      for (uint32_t r : bit->second) {
-        if (r >= i) break;  // records staged after this erase are unaffected
-        if (!record_dead[r] && pending->payload(r) == payload) {
-          record_dead[r] = 1;
-          any_dead = true;
-        }
-      }
-    }
-    auto lit = shard.row_index.find(key);
-    if (lit != shard.row_index.end()) {
-      for (uint32_t row : lit->second) {
-        if (!shard.dead[row] && shard.memo[2 * row + 1] == payload &&
-            planned.insert(row).second) {
-          plan_dead.push_back(row);
-          any_dead = true;
-        }
-      }
-    }
-    if (any_dead && !capacity_failed) {
-      // Physical reclamation is gated on the tombstone actually killing a
-      // row we know about — an erase of a never-inserted row must not
-      // delete a fingerprint-colliding entry. For the Bloom variant the
-      // entry is the OR-fold of EVERY row of the key, so it may only be
-      // deleted once no live row of the key remains (subset folds make
-      // word-equality alone unsound there).
-      bool reclaim = true;
-      if (variant_ == CcfVariant::kBloom) {
-        if (lit != shard.row_index.end()) {
-          for (uint32_t row : lit->second) {
-            if (!shard.dead[row] && planned.count(row) == 0) {
-              reclaim = false;
-              break;
-            }
-          }
-        }
-        if (reclaim && bit != batch_inserts.end()) {
-          for (uint32_t r : bit->second) {
-            if (r >= i) break;
-            if (!record_dead[r]) {
-              reclaim = false;
-              break;
-            }
-          }
-        }
-      }
-      if (reclaim) base->EraseRowMemoized(pending->key_hash(i), payload);
-    }
-    ++i;
-  }
-
-  // The batch's net effect on the log: mark the planned tombstones dead and
-  // append the surviving staged inserts.
-  auto apply_log = [&]() -> size_t {
-    size_t old_rows = shard.keys.size();
-    for (uint32_t row : plan_dead) {
-      shard.dead[row] = 1;
-      ++shard.dead_count;
-    }
-    for (size_t r = 0; r < n; ++r) {
-      if (pending->op(r) != WriteBuffer::kOpInsert || record_dead[r]) continue;
-      uint64_t row_key = pending->key(r);
-      uint64_t row_memo[2] = {pending->key_hash(r), pending->payload(r)};
-      LogAppendRows(shard, std::span<const uint64_t>(&row_key, 1),
-                    pending->attrs_row(r),
-                    std::span<const uint64_t>(row_memo, 2));
-    }
-    return old_rows;
-  };
-
-  if (capacity_failed) {
-    // The clone could not absorb the batch: discard it and fall back to the
-    // doubled rebuild from the log carrying the batch's net effect — the
-    // rebuilt table contains the survivors only, no residue.
-    clone.reset();
-    size_t old_rows = apply_log();
-    Status grown = GrowShardLocked(shard, std::move(capacity_error));
-    if (!grown.ok()) {
-      // No attempt published: roll the log back exactly (un-append, un-mark)
-      // and keep the records staged for a retry.
-      LogTruncate(shard, old_rows);
-      for (uint32_t row : plan_dead) {
-        shard.dead[row] = 0;
-        --shard.dead_count;
-      }
-      return grown;
-    }
-  } else {
-    // Class erases kill rows the variant's erase hook cannot count (one
-    // entry may stand for several collapsed duplicates, and unreclaimable
-    // residue never reaches the hook): set the logical row count from the
-    // log plan, which is exact — live log rows before the batch, minus the
-    // planned tombstones, plus the staged inserts that survived in-batch
-    // kills. Rebuild paths (resize, compaction) recount the same way.
-    size_t killed_in_batch = 0;
-    for (uint8_t d : record_dead) killed_in_batch += d;
-    base->SetNumRows(shard.keys.size() - shard.dead_count -
-                     plan_dead.size() + staged_inserts - killed_in_batch);
-    shard.handle.Publish(std::move(clone));
-    apply_log();
-  }
-
-  // Drop the overlay only AFTER the new table is published — same
-  // straddling-reader argument as the erase-free commit (a reader holding
-  // both sees the union, and exclusions re-applied against the new table
-  // are no-ops on already-reclaimed entries).
+  // a union, and staged exclusions re-applied to the new table only hide
+  // rows this batch erased); the reverse order would open a false-negative
+  // window.
   RetireBuffer(shard,
                shard.pending.exchange(nullptr, std::memory_order_seq_cst));
   MaybeCompactShard(shard);
@@ -826,20 +682,15 @@ uint64_t ShardedCcf::pending_writes() const {
   return n;
 }
 
-void ShardedCcf::MaybeScheduleWatermarkResize(size_t s, Shard& shard) {
-  if (!resizable_ || options_.resize_watermark <= 0.0) return;
+bool ShardedCcf::AtResizeWatermark(Shard& shard) const {
   const auto* base = static_cast<const CcfBase*>(shard.handle.writable());
   uint64_t slots = base->table().num_slots();
-  if (slots == 0 ||
-      static_cast<double>(base->num_entries()) <
-          options_.resize_watermark * static_cast<double>(slots)) {
-    return;
-  }
-  bool expected = false;
-  if (!shard.resize_scheduled.compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel)) {
-    return;  // a resize for this shard is already in flight
-  }
+  return slots != 0 &&
+         static_cast<double>(base->num_entries()) >=
+             options_.resize_watermark * static_cast<double>(slots);
+}
+
+void ShardedCcf::ScheduleMaintenance(std::function<Status()> task) {
   std::lock_guard<std::mutex> lock(maintenance_mu_);
   // Opportunistically reap finished futures so the list stays small.
   maintenance_.erase(
@@ -853,21 +704,46 @@ void ShardedCcf::MaybeScheduleWatermarkResize(size_t s, Shard& shard) {
                        return false;
                      }),
       maintenance_.end());
-  maintenance_.push_back(std::async(std::launch::async, [this, s] {
-    // The doubling rebuild itself: runs on this background thread, takes
-    // the shard's writer mutex (so it serializes AFTER the commit that
+  maintenance_.push_back(std::async(std::launch::async, std::move(task)));
+}
+
+void ShardedCcf::MaybeScheduleWatermarkResize(size_t s, Shard& shard) {
+  if (!resizable_ || options_.resize_watermark <= 0.0 ||
+      !AtResizeWatermark(shard)) {
+    return;
+  }
+  bool expected = false;
+  if (!shard.resize_scheduled.compare_exchange_strong(
+          expected, true, std::memory_order_acq_rel)) {
+    return;  // a resize for this shard is already in flight
+  }
+  ScheduleMaintenance([this, s] {
+    // The rebuild itself: runs on this background thread, takes the
+    // shard's writer mutex (so it serializes AFTER the commit that
     // scheduled it releases the lock), publishes via epoch swap. Pinned to
     // the shard's node so the rebuilt table faults in node-local
     // (best-effort; the alloc-scope mbind inside the rebuild is the
     // stronger guarantee).
     if (numa_active_) PinThreadToNode(*topo_, shards_[s]->node).ok();
-    Status st = ResizeShard(static_cast<int>(s));
-    if (st.ok()) {
-      num_watermark_resizes_.fetch_add(1, std::memory_order_relaxed);
+    Shard& shard = *shards_[s];
+    Status st;
+    {
+      std::lock_guard<std::mutex> lock(shard.writer_mu);
+      uint64_t buckets = shard.handle.writable()->config().num_buckets;
+      // Residue of erased rows counts toward occupancy: compact at the
+      // current geometry first, and double only if the survivors alone
+      // still reach the watermark.
+      if (shard.dead_count != 0) st = RebuildShardLocked(shard, buckets);
+      if (st.ok() && AtResizeWatermark(shard)) {
+        st = RebuildShardLocked(shard, 2 * buckets);
+        if (st.ok()) {
+          num_watermark_resizes_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
     }
-    shards_[s]->resize_scheduled.store(false, std::memory_order_release);
+    shard.resize_scheduled.store(false, std::memory_order_release);
     return st;
-  }));
+  });
 }
 
 void ShardedCcf::MaybeScheduleAutoCommit(size_t s, Shard& shard) {
@@ -888,19 +764,7 @@ void ShardedCcf::MaybeScheduleAutoCommit(size_t s, Shard& shard) {
           expected, true, std::memory_order_acq_rel)) {
     return;  // an auto-commit for this shard is already in flight
   }
-  std::lock_guard<std::mutex> lock(maintenance_mu_);
-  maintenance_.erase(
-      std::remove_if(maintenance_.begin(), maintenance_.end(),
-                     [](std::future<Status>& f) {
-                       if (f.wait_for(std::chrono::seconds(0)) ==
-                           std::future_status::ready) {
-                         f.get();
-                         return true;
-                       }
-                       return false;
-                     }),
-      maintenance_.end());
-  maintenance_.push_back(std::async(std::launch::async, [this, s] {
+  ScheduleMaintenance([this, s] {
     // Same shape as the watermark-resize task: serialize after the write
     // that scheduled us by taking the shard's writer mutex, commit the
     // overlay into a copy-on-write clone, publish via epoch swap. Staged
@@ -913,12 +777,11 @@ void ShardedCcf::MaybeScheduleAutoCommit(size_t s, Shard& shard) {
     {
       std::lock_guard<std::mutex> lock(shard.writer_mu);
       st = CommitShardLocked(s, shard);
-      if (st.ok()) MaybeScheduleWatermarkResize(s, shard);
     }
     if (st.ok()) num_autocommits_.fetch_add(1, std::memory_order_relaxed);
     shard.commit_scheduled.store(false, std::memory_order_release);
     return st;
-  }));
+  });
 }
 
 void ShardedCcf::DrainMaintenance() {
@@ -1010,6 +873,7 @@ Status ShardedCcf::InsertParallel(std::span<const uint64_t> keys,
       // readers of the shard keep probing the published snapshot.
       st = GrowShardLocked(shard, std::move(st));
     }
+    StampLiveRows(shard, shard.handle.writable());
     if (st.ok()) MaybeScheduleWatermarkResize(s, shard);
     shard_status[s] = std::move(st);
   });
@@ -1036,35 +900,26 @@ Status ShardedCcf::InsertBatch(std::span<const uint64_t> keys,
   return InsertParallel(keys, attrs, /*num_threads=*/0, hash_memo);
 }
 
-Status ShardedCcf::ResizeShardLocked(Shard& shard, uint64_t new_num_buckets) {
-  if (!resizable_) {
-    return Status::Invalid(
-        "ShardedCcf: deserialized filters retain no row log; online resize "
-        "is unavailable");
-  }
+Status ShardedCcf::RebuildShardLocked(Shard& shard, uint64_t num_buckets) {
   // The replacement table's pages bind to the shard's node regardless of
-  // which thread runs the rebuild (caller, async resize, or watermark
-  // maintenance).
+  // which thread runs the rebuild (caller, async resize, or maintenance).
   ScopedNumaAllocNode alloc_scope(AllocNode(shard));
   ConditionalCuckooFilter* cur = shard.handle.writable();
   CcfConfig cfg = cur->config();
-  cfg.num_buckets =
-      new_num_buckets != 0 ? new_num_buckets : cfg.num_buckets * 2;
+  const bool same_geometry = num_buckets == cfg.num_buckets;
+  cfg.num_buckets = num_buckets;
   CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> fresh,
                        ConditionalCuckooFilter::Make(cur->variant(), cfg));
-  // Re-place every LIVE logged row from the memo (cached hashes are
-  // re-masked at the new geometry, not re-hashed — PR 3's memoized-rebuild
-  // machinery). InsertBatch is deterministic, so the rebuilt shard is
-  // bit-identical to a from-scratch batched build of the surviving rows at
-  // the new geometry — erase residue does not survive a resize. The log
-  // itself is NOT rewritten here (row indices stay stable for the commit
-  // rollback paths); compaction owns log rewriting.
+  // Re-place every LIVE logged row, in log order, from the memo (cached
+  // hashes are re-masked at the new geometry, not re-hashed). InsertBatch is
+  // deterministic, so the result is bit-identical to a from-scratch batched
+  // build of the surviving rows: no erase residue survives a rebuild.
+  std::vector<uint64_t> live_keys, live_attrs, live_memo;
   if (shard.dead_count == 0) {
     CCF_RETURN_NOT_OK(
         fresh->InsertBatch(shard.keys, shard.attrs, &shard.memo));
   } else {
     const size_t num_attrs = static_cast<size_t>(config().num_attrs);
-    std::vector<uint64_t> live_keys, live_attrs, live_memo;
     size_t live = shard.keys.size() - shard.dead_count;
     live_keys.reserve(live);
     live_attrs.reserve(live * num_attrs);
@@ -1079,77 +934,51 @@ Status ShardedCcf::ResizeShardLocked(Shard& shard, uint64_t new_num_buckets) {
       live_memo.push_back(shard.memo[2 * r]);
       live_memo.push_back(shard.memo[2 * r + 1]);
     }
+    // On failure the table and log are untouched.
     CCF_RETURN_NOT_OK(fresh->InsertBatch(live_keys, live_attrs, &live_memo));
   }
   // Swap the snapshot in one atomic publish; concurrent readers finish
   // their probes against the old table, which the epoch domain frees once
   // the last of them unpins.
+  StampLiveRows(shard, fresh.get());
   shard.handle.Publish(std::move(fresh));
-  num_resizes_.fetch_add(1, std::memory_order_relaxed);
+  if (shard.dead_count != 0) {
+    // The table now reflects exactly the survivors: rewrite the log (and
+    // the key index, if built) to match.
+    shard.keys.swap(live_keys);
+    shard.attrs.swap(live_attrs);
+    shard.memo.swap(live_memo);
+    shard.dead.assign(shard.keys.size(), 0);
+    shard.dead_count = 0;
+    if (shard.index_built) {
+      shard.row_index.clear();
+      for (size_t r = 0; r < shard.keys.size(); ++r) {
+        shard.row_index[shard.keys[r]].push_back(static_cast<uint32_t>(r));
+      }
+    }
+  }
+  (same_geometry ? num_compactions_ : num_resizes_)
+      .fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Status ShardedCcf::GrowShardLocked(Shard& shard, Status capacity_error) {
-  if (!resizable_ || options_.max_auto_resizes <= 0) return capacity_error;
+  if (!resizable_) return capacity_error;
   uint64_t buckets = shard.handle.writable()->config().num_buckets;
   Status st = std::move(capacity_error);
+  // Residue of erased rows occupies slots until a rebuild: compact at the
+  // current geometry first, and double only if the survivors still do not
+  // fit.
+  if (shard.dead_count != 0) {
+    st = RebuildShardLocked(shard, buckets);
+    if (st.code() != StatusCode::kCapacityError) return st;
+  }
   for (int attempt = 0; attempt < options_.max_auto_resizes; ++attempt) {
     buckets *= 2;  // §4.1's resize rule, applied to one shard
-    st = ResizeShardLocked(shard, buckets);
+    st = RebuildShardLocked(shard, buckets);
     if (st.code() != StatusCode::kCapacityError) return st;
   }
   return st;
-}
-
-Status ShardedCcf::CompactShardLocked(Shard& shard) {
-  if (!resizable_) {
-    return Status::Invalid(
-        "ShardedCcf: deserialized filters retain no row log; compaction is "
-        "unavailable");
-  }
-  ScopedNumaAllocNode alloc_scope(AllocNode(shard));
-  ConditionalCuckooFilter* cur = shard.handle.writable();
-  const size_t num_attrs = static_cast<size_t>(config().num_attrs);
-  std::vector<uint64_t> live_keys, live_attrs, live_memo;
-  size_t live = shard.keys.size() - shard.dead_count;
-  live_keys.reserve(live);
-  live_attrs.reserve(live * num_attrs);
-  live_memo.reserve(live * 2);
-  for (size_t r = 0; r < shard.keys.size(); ++r) {
-    if (r < shard.dead.size() && shard.dead[r]) continue;
-    live_keys.push_back(shard.keys[r]);
-    live_attrs.insert(
-        live_attrs.end(),
-        shard.attrs.begin() + static_cast<ptrdiff_t>(r * num_attrs),
-        shard.attrs.begin() + static_cast<ptrdiff_t>((r + 1) * num_attrs));
-    live_memo.push_back(shard.memo[2 * r]);
-    live_memo.push_back(shard.memo[2 * r + 1]);
-  }
-  // A fresh build at the CURRENT geometry from the survivors, in log order:
-  // deterministic InsertBatch makes the result byte-identical to a
-  // from-scratch batched build of the surviving row set, so compaction
-  // clears every flavour of erase residue (saturated chain copies, shared
-  // Bloom folds, converted fragments of dead rows).
-  CcfConfig cfg = cur->config();
-  CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> fresh,
-                       ConditionalCuckooFilter::Make(cur->variant(), cfg));
-  Status st = fresh->InsertBatch(live_keys, live_attrs, &live_memo);
-  if (!st.ok()) return st;  // table and log untouched; next trigger retries
-  shard.handle.Publish(std::move(fresh));
-  // The table now reflects exactly the survivors: rewrite the log to match.
-  shard.keys.swap(live_keys);
-  shard.attrs.swap(live_attrs);
-  shard.memo.swap(live_memo);
-  shard.dead.assign(shard.keys.size(), 0);
-  shard.dead_count = 0;
-  if (shard.index_built) {
-    shard.row_index.clear();
-    for (size_t r = 0; r < shard.keys.size(); ++r) {
-      shard.row_index[shard.keys[r]].push_back(static_cast<uint32_t>(r));
-    }
-  }
-  num_compactions_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
 }
 
 void ShardedCcf::MaybeCompactShard(Shard& shard) {
@@ -1161,7 +990,8 @@ void ShardedCcf::MaybeCompactShard(Shard& shard) {
   }
   // Advisory, like the watermark resize statuses: a failed attempt leaves
   // the shard fully consistent and the next commit re-fires the trigger.
-  CompactShardLocked(shard).ok();
+  RebuildShardLocked(shard, shard.handle.writable()->config().num_buckets)
+      .ok();
 }
 
 Status ShardedCcf::Compact() {
@@ -1174,7 +1004,8 @@ Status ShardedCcf::Compact() {
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.writer_mu);
-    shard_status[s] = CompactShardLocked(shard);
+    shard_status[s] = RebuildShardLocked(
+        shard, shard.handle.writable()->config().num_buckets);
   }
   return AggregateShardStatus(shard_status);
 }
@@ -1201,9 +1032,17 @@ Status ShardedCcf::ResizeShard(int shard, uint64_t new_num_buckets) {
   if (shard < 0 || shard >= num_shards()) {
     return Status::OutOfRange("ResizeShard: shard index out of range");
   }
+  if (!resizable_) {
+    return Status::Invalid(
+        "ShardedCcf: deserialized filters retain no row log; online resize "
+        "is unavailable");
+  }
   Shard& sh = *shards_[static_cast<size_t>(shard)];
   std::lock_guard<std::mutex> lock(sh.writer_mu);
-  return ResizeShardLocked(sh, new_num_buckets);
+  return RebuildShardLocked(
+      sh, new_num_buckets != 0
+              ? new_num_buckets
+              : 2 * sh.handle.writable()->config().num_buckets);
 }
 
 std::future<Status> ShardedCcf::ResizeShardAsync(int shard,

@@ -25,7 +25,9 @@
 //     commit (or in-place insert) that leaves a shard's occupancy at or
 //     above the watermark schedules a background doubling resize BEFORE any
 //     insert fails, keeping CapacityError-triggered rebuilds off the tail
-//     latency path.
+//     latency path. Committed erases leave residue in the table, so a shard
+//     holding dead rows compacts at its current geometry first and doubles
+//     only if its surviving rows still reach the trigger.
 //   * NUMA/thread-per-core mode (ShardedCcfOptions::numa_policy, default
 //     auto): on a multi-node machine shards are assigned round-robin to
 //     nodes, each shard's table pages are bound to its node at allocation
@@ -97,14 +99,16 @@ struct ShardedCcfOptions {
   int build_threads = 0;
   /// Doubling resizes a single Insert/InsertParallel/CommitWrites call may
   /// trigger transparently per shard on CapacityError before surfacing the
-  /// error. 0 disables online resize (failures surface exactly as before).
+  /// error (after one compaction at the current geometry when the shard
+  /// holds dead rows). 0 disables doubling on CapacityError.
   int max_auto_resizes = 8;
   /// Load-factor watermark for PROACTIVE background resize: when a commit
   /// or in-place insert leaves a shard's occupancy / slots at or above this
-  /// fraction, a doubling ResizeShardAsync is scheduled for that shard so
-  /// the rebuild happens off the serving path before any insert fails
-  /// (CapacityError doubling then stays a fallback, not the steady-state
-  /// growth mechanism). 0 (the default) disables the policy — builds that
+  /// fraction, a background rebuild is scheduled for that shard (doubling,
+  /// after a compaction if the shard holds dead rows) so the rebuild
+  /// happens off the serving path before any insert fails (CapacityError
+  /// doubling then stays a fallback, not the steady-state growth
+  /// mechanism). 0 (the default) disables the policy — builds that
   /// assert bit-identical geometry trajectories rely on that. 0.85 is a
   /// good serving-side setting. Ignored on deserialized (log-less)
   /// filters, which cannot resize.
@@ -112,11 +116,10 @@ struct ShardedCcfOptions {
   /// Dead-row fraction of a shard's retained row log at which a commit
   /// triggers an in-place compaction of that shard: the log is rewritten
   /// without erased rows and the shard's table is rebuilt (at its current
-  /// geometry) from the survivors, clearing any erase residue the
-  /// best-effort slot reclamation left behind. Bounds the log under churn
-  /// so resizes rebuild from live rows only. <= 0 disables the policy
-  /// (explicit Compact() still works). Ignored on deserialized (log-less)
-  /// filters.
+  /// geometry) from the survivors, clearing the residue erased rows leave
+  /// in the table. Bounds the log and the residue under churn. <= 0
+  /// disables the policy (explicit Compact() and the compact-first growth
+  /// rule still apply). Ignored on deserialized (log-less) filters.
   double compact_watermark = 0.5;
   /// NUMA placement (see the concurrency model above): shard→node
   /// round-robin assignment, node-bound table pages, node-pinned
@@ -237,11 +240,12 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// the moment this returns, other rows of the key are untouched, and no
   /// unrelated row can turn false-negative (erase records match on the
   /// exact key, so fingerprint aliases never inherit the exclusion). The
-  /// next CommitWrites marks the row dead in the retained log (exact) and
-  /// best-effort reclaims the table entry; entries that cannot be reclaimed
-  /// in place (chained copies in saturated pairs, Bloom folds shared with
-  /// other rows) remain as one-sided residue — extra false positives, never
-  /// false negatives — until a compaction or resize rebuilds from live rows.
+  /// next CommitWrites marks the rows dead in the retained log (exact) and
+  /// leaves their table entries in place: one entry may stand for several
+  /// live rows (inserts collapse equal (pair, fingerprint, payload)
+  /// entries), so erased entries stay as one-sided residue — extra false
+  /// positives, never false negatives — until a rebuild from the surviving
+  /// rows (compaction, resize, or a growth trigger, which compacts first).
   /// Rejected on deserialized filters (no log to mark) and on oversized
   /// geometries (slot_bits > 64, no packed payload word to match).
   Status BufferErase(uint64_t key, std::span<const uint64_t> attrs);
@@ -254,18 +258,20 @@ class ShardedCcf : public ConditionalCuckooFilter {
   Status BufferUpdate(uint64_t key, std::span<const uint64_t> old_attrs,
                       std::span<const uint64_t> new_attrs);
 
-  /// Publishes every shard's staged rows: per shard, clones the current
-  /// filter (Clone shares the table snapshot), batch-inserts the pending
-  /// rows into the clone — the clone copy-on-writes the table off the
-  /// serving path — and installs the result via the same epoch swap a
-  /// resize uses, then appends the rows to the retained row log and retires
-  /// the drained buffer once no reader can hold it. Readers stay
-  /// pinned-lock-free throughout and observe either (old table + overlay)
-  /// or the new table, never a gap. A shard whose commit hits CapacityError
-  /// transparently rebuilds at doubled geometry from its log (pending rows
-  /// included) like Insert does; if the watermark policy is enabled, a
-  /// post-commit occupancy at or above the watermark schedules a background
-  /// doubling resize. Per-shard errors aggregate deterministically (lowest
+  /// Publishes every shard's staged records: per shard, marks the rows the
+  /// batch's erases kill dead in the retained log, clones the current
+  /// filter (Clone shares the table snapshot), batch-inserts the surviving
+  /// staged rows into the clone — the clone copy-on-writes the table off
+  /// the serving path — and installs the result via the same epoch swap a
+  /// resize uses, then retires the drained buffer once no reader can hold
+  /// it. Readers stay pinned-lock-free throughout and observe either (old
+  /// table + overlay) or the new table, never a gap. A shard whose commit
+  /// hits CapacityError transparently rebuilds from its log (pending rows
+  /// included) like Insert does — at its current geometry first if it holds
+  /// dead rows, doubling only if the survivors still do not fit; if the
+  /// watermark policy is enabled, a post-commit occupancy at or above the
+  /// watermark schedules the same compact-then-double rebuild in the
+  /// background. Per-shard errors aggregate deterministically (lowest
   /// failing shard, "shard N: " prefix); a failed shard KEEPS its rows
   /// staged — still overlay-visible — so the caller can resize and retry.
   /// Works on deserialized filters too (no log to append to; the rows
@@ -293,9 +299,10 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// its current geometry from the live rows of its retained log (erased
   /// rows dropped) and rewrites the log to the survivors. The result is
   /// bit-identical to a from-scratch batched build of the surviving row
-  /// set, so it clears all erase residue. Serializes with writers per
-  /// shard; readers stay pinned-lock-free and see the swap atomically.
-  /// Fails on deserialized (log-less) filters.
+  /// set, so it clears the residue committed erases leave in the table
+  /// (until then erased rows may still read true; live rows always do).
+  /// Serializes with writers per shard; readers stay pinned-lock-free and
+  /// see the swap atomically. Fails on deserialized (log-less) filters.
   Status Compact();
 
   /// Completed shard compactions (watermark-triggered and explicit).
@@ -330,12 +337,14 @@ class ShardedCcf : public ConditionalCuckooFilter {
   void DrainMaintenance();
 
   /// Rebuilds shard `shard` at `new_num_buckets` buckets (0 → double the
-  /// shard's current count) from its retained row log, publishing the
-  /// replacement via epoch swap. Readers keep probing the old snapshot
-  /// until the swap and are never blocked; the old table is reclaimed once
-  /// the last reader unpins. Serializes with other writers of the shard.
-  /// The rebuilt shard is bit-identical to a from-scratch batched build of
-  /// the shard's rows at the new geometry. Fails on deserialized filters
+  /// shard's current count) from the live rows of its retained log (which
+  /// is rewritten to the survivors), publishing the replacement via epoch
+  /// swap; a rebuild at the current geometry counts as a compaction.
+  /// Readers keep probing the old snapshot until the swap and are never
+  /// blocked; the old table is reclaimed once the last reader unpins.
+  /// Serializes with other writers of the shard. The rebuilt shard is
+  /// bit-identical to a from-scratch batched build of the shard's live
+  /// rows at the new geometry. Fails on deserialized filters
   /// (the row log is not serialized) and on out-of-range shard indices.
   Status ResizeShard(int shard, uint64_t new_num_buckets = 0);
 
@@ -363,6 +372,10 @@ class ShardedCcf : public ConditionalCuckooFilter {
   uint64_t SizeInBits() const override;
   double LoadFactor() const override;
   uint64_t num_entries() const override;
+  /// Sum of the shard tables' row counts. On a filter with a row log every
+  /// published shard table carries its log's live row count, so this is
+  /// retained_log_rows() - dead_log_rows() after every write, commit and
+  /// rebuild (exact duplicates count per row, erased rows not at all).
   uint64_t num_rows() const override;
 
   /// The per-shard configuration AT CONSTRUCTION (num_buckets is the
@@ -654,8 +667,8 @@ class ShardedCcf : public ConditionalCuckooFilter {
     std::vector<uint64_t> memo;   // 2 words per row, guarded by writer_mu
     /// Tombstone bookkeeping over the log (all guarded by writer_mu): a
     /// committed erase marks its rows dead here EXACTLY — the log always
-    /// knows the true live set, whatever the best-effort table reclamation
-    /// managed — and compaction rewrites the log from the survivors.
+    /// knows the true live set while the table keeps the dead rows'
+    /// residue — and every rebuild rewrites the log from the survivors.
     std::vector<uint8_t> dead;  // parallel to keys; 1 = erased row
     size_t dead_count = 0;
     /// key → log row indices, built lazily by the first CRUD commit and
@@ -690,28 +703,39 @@ class ShardedCcf : public ConditionalCuckooFilter {
              ShardedCcfOptions options,
              std::shared_ptr<const NumaTopology> topo, bool numa_active);
 
-  /// One resize attempt at the given geometry; caller holds writer_mu.
-  Status ResizeShardLocked(Shard& shard, uint64_t new_num_buckets);
-  /// Doubling-retry loop around ResizeShardLocked (auto-resize path);
-  /// caller holds writer_mu and has just seen CapacityError.
+  /// The one rebuild: a fresh table at `num_buckets` from the live log
+  /// rows, published on success, with the log rewritten to the survivors;
+  /// on failure table and log are untouched. Counts as a compaction at the
+  /// current geometry and as a resize otherwise. Caller holds writer_mu on
+  /// a resizable filter.
+  Status RebuildShardLocked(Shard& shard, uint64_t num_buckets);
+  /// Capacity fallback: compacts first when the shard holds dead rows, then
+  /// retries doubling rebuilds (up to options_.max_auto_resizes); caller
+  /// holds writer_mu and has just seen CapacityError.
   Status GrowShardLocked(Shard& shard, Status capacity_error);
 
   /// A pending buffer with room for `rows_needed` more rows, swapping in a
   /// grown (or recycled) block if necessary; caller holds writer_mu.
   WriteBuffer* PendingWithRoom(Shard& shard, size_t rows_needed);
+  /// Stamps `table` with the shard's live log row count (the one meaning
+  /// of num_rows() on a filter with a row log); no-op after Deserialize.
+  /// Caller holds writer_mu.
+  void StampLiveRows(const Shard& shard,
+                     ConditionalCuckooFilter* table) const {
+    if (resizable_) {
+      static_cast<CcfBase*>(table)->SetNumRows(shard.keys.size() -
+                                               shard.dead_count);
+    }
+  }
   /// Retires a swapped-out buffer into the epoch domain; reclamation
   /// recycles it through the shard's spare slot.
   void RetireBuffer(Shard& shard, WriteBuffer* old);
-  /// Commits shard `s`'s staged records (see CommitWrites); caller holds
-  /// writer_mu. Dispatches to CommitShardCrudLocked when the pending block
-  /// carries erase records.
+  /// Commits shard `s`'s staged records (see CommitWrites): plans the
+  /// batch's dead marks and surviving inserts, applies them to the log,
+  /// builds the survivors into a copy-on-write clone and publishes it; on
+  /// failure the log is rolled back exactly and the records stay staged.
+  /// Caller holds writer_mu.
   Status CommitShardLocked(size_t s, Shard& shard);
-  /// The erase-aware commit: applies the staged records IN ORDER against a
-  /// copy-on-write clone (insert runs via InsertBatch, tombstones via
-  /// best-effort native slot deletion), then — only after the clone
-  /// publishes — marks dead log rows and appends surviving inserts; caller
-  /// holds writer_mu.
-  Status CommitShardCrudLocked(size_t s, Shard& shard);
   /// Appends rows to the shard's retained log, keeping the dead vector and
   /// (if built) the row index in sync; caller holds writer_mu.
   void LogAppendRows(Shard& shard, std::span<const uint64_t> keys,
@@ -723,15 +747,19 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// Builds the key → log rows index on first CRUD use; caller holds
   /// writer_mu.
   void EnsureLogIndex(Shard& shard);
-  /// Rebuilds the shard at its CURRENT geometry from live log rows and
-  /// rewrites the log to the survivors; caller holds writer_mu.
-  Status CompactShardLocked(Shard& shard);
-  /// Runs CompactShardLocked when the dead fraction of the log crosses
-  /// options_.compact_watermark; caller holds writer_mu.
+  /// Rebuilds the shard at its current geometry when the dead fraction of
+  /// the log crosses options_.compact_watermark; caller holds writer_mu.
   void MaybeCompactShard(Shard& shard);
-  /// Schedules a background doubling resize if the shard's occupancy is at
-  /// or above the watermark; caller holds writer_mu.
+  /// Whether the shard's occupancy (residue included) is at or above
+  /// options_.resize_watermark; caller holds writer_mu.
+  bool AtResizeWatermark(Shard& shard) const;
+  /// Schedules a background rebuild if the shard's occupancy is at or above
+  /// the watermark: compact first when it holds dead rows, double if still
+  /// at the watermark; caller holds writer_mu.
   void MaybeScheduleWatermarkResize(size_t s, Shard& shard);
+  /// Runs `task` on a background thread tracked in maintenance_ (reaping
+  /// finished ones).
+  void ScheduleMaintenance(std::function<Status()> task);
   /// Schedules a background commit of shard `s` when its staged overlay
   /// crosses the autocommit size or age trigger; caller holds writer_mu
   /// and has just appended to the overlay.

@@ -1,10 +1,9 @@
 // The ONE software-pipelined batch skeleton behind every batched path in
 // the library, reads AND writes (CcfBase::BatchResolve /
 // BatchResolveTwoWave / InsertBatch, ShardedCcf's ShardedTwoPass, and the
-// CuckooFilter / BloomFilter / MarkedKeyFilter ContainsBatch loops all
-// instantiate this — no call site hand-rolls hash+prefetch+resolve any
-// more, so block size, prefetch policy, and pipeline depth cannot
-// diverge).
+// CuckooFilter / MarkedKeyFilter ContainsBatch loops all instantiate this —
+// no call site hand-rolls hash+prefetch+resolve any more, so block size,
+// prefetch policy, and pipeline depth cannot diverge).
 //
 // Per block of kBatchPipelineBlock items:
 //   1. address pass  — compute each item's probe address (hashing);

@@ -1,6 +1,6 @@
 // Differential tests for the batched query hot path: LookupBatch,
-// ContainsKeyBatch, CuckooFilter::ContainsBatch, BloomFilter::ContainsBatch,
-// and KeyFilter::ContainsBatch must return bit-identical answers to their
+// ContainsKeyBatch, CuckooFilter::ContainsBatch, and
+// KeyFilter::ContainsBatch must return bit-identical answers to their
 // scalar counterparts for every variant — the prefetched two-pass structure
 // is an optimization, never a semantic change.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "bloom/bloom_filter.h"
 #include "ccf/ccf.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "util/random.h"
@@ -176,18 +175,6 @@ TEST(CuckooFilterBatchTest, ContainsBatchMatchesScalar) {
   filter.ContainsBatch(keys, std::span<bool>(out.get(), keys.size()));
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(out[i], filter.Contains(keys[i])) << "i=" << i;
-  }
-}
-
-TEST(BloomFilterBatchTest, ContainsBatchMatchesScalar) {
-  auto filter = BloomFilter::Make(1 << 16, 4, /*salt=*/11).ValueOrDie();
-  for (uint64_t k = 0; k < 5000; ++k) filter.Insert(k * 7);
-  std::vector<uint64_t> items;
-  for (uint64_t k = 0; k < 20000; ++k) items.push_back(k);
-  std::unique_ptr<bool[]> out(new bool[items.size()]);
-  filter.ContainsBatch(items, std::span<bool>(out.get(), items.size()));
-  for (size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(out[i], filter.Contains(items[i])) << "i=" << i;
   }
 }
 

@@ -1,5 +1,5 @@
-// Tests for the §9 extension features: introspection stats, dyadic range
-// CCFs, two-stage attribute compression, and the per-value strawman.
+// Tests for the §9 extension features: dyadic range CCFs, two-stage
+// attribute compression, and the per-value strawman.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -7,7 +7,6 @@
 #include "ccf/compressed_ccf.h"
 #include "ccf/per_value_filters.h"
 #include "ccf/range_ccf.h"
-#include "ccf/stats.h"
 #include "util/random.h"
 
 namespace ccf {
@@ -24,38 +23,6 @@ CcfConfig BaseConfig() {
   c.salt = 3;
   return c;
 }
-
-// --- CcfStats ---------------------------------------------------------------
-
-TEST(CcfStatsTest, CountsMatchFilterState) {
-  auto base = ConditionalCuckooFilter::Make(CcfVariant::kChained, BaseConfig())
-                  .ValueOrDie();
-  auto* ccf = static_cast<CcfBase*>(base.get());
-  Rng rng(5);
-  for (int i = 0; i < 3000; ++i) {
-    std::vector<uint64_t> attrs = {rng.NextBelow(100), rng.NextBelow(100)};
-    base->Insert(rng.NextBelow(500), attrs).Abort();
-  }
-  CcfStats stats = ComputeStats(*ccf);
-  EXPECT_EQ(stats.occupied_entries, base->num_entries());
-  EXPECT_DOUBLE_EQ(stats.load_factor, base->LoadFactor());
-  // Histogram totals must account for every bucket.
-  uint64_t total_buckets = 0;
-  for (const auto& [occ, n] : stats.bucket_occupancy_histogram) {
-    total_buckets += n;
-    EXPECT_GE(occ, 0);
-    EXPECT_LE(occ, 6);
-  }
-  EXPECT_EQ(total_buckets, stats.num_buckets);
-  // Lemma 1: no pair group exceeds d copies.
-  for (const auto& [copies, n] : stats.pair_duplication_histogram) {
-    EXPECT_LE(copies, 3) << n << " groups exceed d";
-  }
-  EXPECT_GT(stats.distinct_fingerprints, 0u);
-  EXPECT_FALSE(stats.ToString().empty());
-}
-
-// --- RangeCcf ---------------------------------------------------------------
 
 TEST(RangeCcfTest, RejectsBadParameters) {
   CcfConfig c = BaseConfig();
