@@ -203,6 +203,18 @@ CcfConfig HotPathConfig() {
 // ~70% load.
 uint64_t HotRows() { return (uint64_t{1} << HotBucketsLog2()) * 6 * 7 / 10; }
 
+// The hot tables' rows: key k with attributes (k % 997, k % 31), row-major.
+void MakeHotRows(std::vector<uint64_t>* keys, std::vector<uint64_t>* attrs) {
+  const uint64_t rows = HotRows();
+  keys->reserve(rows);
+  attrs->reserve(rows * 2);
+  for (uint64_t k = 0; k < rows; ++k) {
+    keys->push_back(k);
+    attrs->push_back(k % 997);
+    attrs->push_back(k % 31);
+  }
+}
+
 // ~50% load for the duplicate-heavy build benches: triple-rows concentrate
 // three entries per bucket pair, which lumps occupancy enough that higher
 // loads (the probe table runs 70% on distinct keys) exhaust kick budgets.
@@ -235,13 +247,7 @@ const HotPathFixture& HotPath() {
     uint64_t rows = HotRows();
     std::vector<uint64_t> keys;
     std::vector<uint64_t> flat_attrs;
-    keys.reserve(rows);
-    flat_attrs.reserve(rows * 2);
-    for (uint64_t k = 0; k < rows; ++k) {
-      keys.push_back(k);
-      flat_attrs.push_back(k % 997);
-      flat_attrs.push_back(k % 31);
-    }
+    MakeHotRows(&keys, &flat_attrs);
     for (uint64_t k = 0; k < rows; ++k) {
       f->ccf->Insert(keys[k], std::span<const uint64_t>(&flat_attrs[2 * k], 2))
           .Abort();
@@ -578,6 +584,53 @@ void BM_HotLookupShardedBatch(benchmark::State& state) {
   state.SetLabel("sharded-batched");
 }
 BENCHMARK(BM_HotLookupShardedBatch)->Unit(benchmark::kMillisecond);
+
+// Sharded batched with a staged CRUD batch: the BM_HotLookupShardedBatch
+// rows and probes on a second sharded filter whose overlays hold 256
+// erases and 256 updates of committed rows plus 256 new rows (1024
+// records over the 8 shards), never committed. The gap to the unstaged
+// row is the overlay's price on the serving path.
+void BM_HotLookupShardedBatchStaged(benchmark::State& state) {
+  const HotPathFixture& f = HotPath();
+  static ShardedCcf* staged = [] {
+    ShardedCcfOptions opts;
+    opts.num_shards = 8;
+    auto sharded =
+        ShardedCcf::Make(CcfVariant::kChained, HotPathConfig(), opts)
+            .ValueOrDie();
+    const uint64_t rows = HotRows();
+    std::vector<uint64_t> keys;
+    std::vector<uint64_t> flat_attrs;
+    MakeHotRows(&keys, &flat_attrs);
+    sharded->InsertParallel(keys, flat_attrs).Abort();
+    auto attrs = [](uint64_t k) {
+      return std::vector<uint64_t>{k % 997, k % 31};
+    };
+    const std::vector<uint64_t> updated_attrs = {123, 7};
+    const uint64_t stride = std::max<uint64_t>(1, rows / 512);
+    for (uint64_t i = 0; i < 256; ++i) {
+      const uint64_t erased = (2 * i) * stride % rows;
+      const uint64_t updated = (2 * i + 1) * stride % rows;
+      sharded->BufferErase(erased, attrs(erased)).Abort();
+      sharded->BufferUpdate(updated, attrs(updated), updated_attrs).Abort();
+      sharded->BufferWrite(2 * rows + i, attrs(i)).Abort();
+    }
+    return sharded.release();
+  }();
+  std::unique_ptr<bool[]> out(new bool[kHotProbes]);
+  for (auto _ : state) {
+    staged
+        ->LookupBatch(f.probe_keys, std::span<const Predicate>(&f.pred, 1),
+                      std::span<bool>(out.get(), kHotProbes))
+        .Abort();
+    benchmark::DoNotOptimize(out.get());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kHotProbes));
+  SetTableMb(state, staged->SizeInBits());
+  state.SetLabel("sharded-batched-staged");
+}
+BENCHMARK(BM_HotLookupShardedBatchStaged)->Unit(benchmark::kMillisecond);
 
 // Mixed read/write serving: batched lookups interleaved with staged
 // write-batch commits on one sharded filter — the live-traffic shape the

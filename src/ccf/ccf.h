@@ -186,7 +186,10 @@ class ConditionalCuckooFilter {
   virtual double LoadFactor() const = 0;
   /// Number of occupied entries (Z′ in §8).
   virtual uint64_t num_entries() const = 0;
-  /// Number of rows accepted by Insert (collapsed duplicates count once).
+  /// Number of rows accepted by Insert. Plain, Chained and Mixed count an
+  /// exact duplicate of a row they already hold once (it collapses into
+  /// the identical entry); Bloom counts every row it absorbs, since a
+  /// sketch OR cannot tell an exact duplicate from a new vector.
   virtual uint64_t num_rows() const = 0;
 
   virtual const CcfConfig& config() const = 0;

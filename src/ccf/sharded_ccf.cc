@@ -293,9 +293,9 @@ ShardedCcf::WriteBuffer* ShardedCcf::PendingWithRoom(Shard& shard,
 
   // Grow (or bootstrap) by replacement: build the bigger block privately,
   // then swap it in with one seq_cst exchange. A reader pinned on the old
-  // block keeps scanning it safely until reclamation; a reader that loads
-  // the new pointer sees every copied row (the exchange release-publishes
-  // them).
+  // block keeps reading it safely until reclamation; a reader that loads
+  // the new pointer sees every copied row and its rebuilt index (the
+  // exchange release-publishes them).
   size_t want = NextPowerOfTwo(std::max<uint64_t>(
       64, std::max<uint64_t>(n + rows_needed,
                              cur ? 2 * cur->capacity() : 0)));
@@ -1087,34 +1087,24 @@ std::vector<const ShardedCcf::WriteBuffer*> ShardedCcf::LoadOverlays() const {
 
 bool ShardedCcf::ResolveKeyWithOps(const CcfBase* base,
                                    const WriteBuffer* overlay, uint64_t key,
-                                   const Predicate* pred) const {
-  // Staged records first: the op-aware overlay probe answers true iff a
-  // staged insert of the key survives every later-staged erase (and, with a
-  // predicate, matches it).
-  if (pred ? overlay->Contains(key, *pred) : overlay->ContainsKey(key)) {
-    return true;
-  }
-  // Committed rows, with staged tombstones applied as exclusions. The
-  // excluded set is computed from EXACT key matches over the published
-  // records, so only classes the caller's key legitimately erased can be
-  // hidden — a fingerprint-colliding key never inherits an exclusion.
-  size_t n = overlay->size();
-  std::vector<uint64_t> excluded;
-  for (size_t i = 0; i < n; ++i) {
-    if (overlay->op(i) == WriteBuffer::kOpErase && overlay->key(i) == key) {
-      excluded.push_back(overlay->payload(i));
-    }
-  }
-  if (excluded.empty()) {
-    return pred ? base->Contains(key, *pred) : base->ContainsKey(key);
-  }
+                                   const Predicate* pred, bool base_hit,
+                                   std::vector<uint64_t>* erased) const {
+  if (overlay == nullptr) return base_hit;
+  // Staged records first: one snapshot of the key's chain answers whether
+  // a staged insert survives (and matches) and which classes it erased.
+  if (overlay->Resolve(key, pred, erased)) return true;
+  if (!base_hit || erased->empty()) return base_hit;
+  // The base probe hit but the key itself has staged tombstones: re-probe
+  // with them as exclusions. They come from EXACT key matches, so only
+  // classes this key legitimately erased are hidden — a
+  // fingerprint-colliding key never inherits an exclusion.
   uint64_t bucket;
   uint32_t fp;
   cuckoo_addressing::IndexAndFingerprintFromHash(
       base->hasher().Hash(key, 0), base->table().bucket_mask(),
       base->config().key_fp_bits, &bucket, &fp);
-  return pred ? base->ContainsAddressedExcluding(bucket, fp, *pred, excluded)
-              : base->ContainsKeyAddressedExcluding(bucket, fp, excluded);
+  return pred ? base->ContainsAddressedExcluding(bucket, fp, *pred, *erased)
+              : base->ContainsKeyAddressedExcluding(bucket, fp, *erased);
 }
 
 // --- Node-routed broadcast lookups (the SPSC handoff path) ------------------
@@ -1163,14 +1153,8 @@ Status ShardedCcf::ResolveShardBroadcast(const CcfBase* base,
                                          bool* out) const {
   const size_t n = keys.size();
   if (n == 0) return Status::OK();
-  if (overlay != nullptr && overlay->num_erases() > 0) {
-    // Staged tombstones may hide this shard's committed rows: resolve each
-    // key exactly (the batch fast path cannot apply exclusions).
-    for (size_t j = 0; j < n; ++j) {
-      out[pos[j]] = ResolveKeyWithOps(base, overlay, keys[j], pred);
-    }
-    return Status::OK();
-  }
+  // The shard's prefetched batch probe runs whatever the overlay stages;
+  // the overlay is folded in per key afterwards.
   std::unique_ptr<bool[]> shard_out(new bool[n]);
   if (pred != nullptr) {
     CCF_RETURN_NOT_OK(base->LookupBatch(keys,
@@ -1179,13 +1163,10 @@ Status ShardedCcf::ResolveShardBroadcast(const CcfBase* base,
   } else {
     base->ContainsKeyBatch(keys, std::span<bool>(shard_out.get(), n));
   }
+  std::vector<uint64_t> erased;
   for (size_t j = 0; j < n; ++j) {
-    bool hit = shard_out[j];
-    if (!hit && overlay != nullptr) {
-      hit = pred != nullptr ? overlay->Contains(keys[j], *pred)
-                            : overlay->ContainsKey(keys[j]);
-    }
-    out[pos[j]] = hit;
+    out[pos[j]] =
+        ResolveKeyWithOps(base, overlay, keys[j], pred, shard_out[j], &erased);
   }
   return Status::OK();
 }
@@ -1366,12 +1347,9 @@ bool ShardedCcf::ContainsKey(uint64_t key) const {
   const WriteBuffer* p = shard.pending.load(std::memory_order_seq_cst);
   const auto* base =
       static_cast<const CcfBase*>(shard.handle.Load(guard));
-  if (p == nullptr) return base->ContainsKey(key);
-  if (p->size() > 0 && p->num_erases() > 0) {
-    // Staged tombstones may hide committed rows: take the exact slow path.
-    return ResolveKeyWithOps(base, p, key, nullptr);
-  }
-  return base->ContainsKey(key) || p->ContainsKey(key);
+  std::vector<uint64_t> erased;
+  return ResolveKeyWithOps(base, p, key, nullptr, base->ContainsKey(key),
+                           &erased);
 }
 
 bool ShardedCcf::Contains(uint64_t key, const Predicate& pred) const {
@@ -1381,11 +1359,9 @@ bool ShardedCcf::Contains(uint64_t key, const Predicate& pred) const {
   const WriteBuffer* p = shard.pending.load(std::memory_order_seq_cst);
   const auto* base =
       static_cast<const CcfBase*>(shard.handle.Load(guard));
-  if (p == nullptr) return base->Contains(key, pred);
-  if (p->size() > 0 && p->num_erases() > 0) {
-    return ResolveKeyWithOps(base, p, key, &pred);
-  }
-  return base->Contains(key, pred) || p->Contains(key, pred);
+  std::vector<uint64_t> erased;
+  return ResolveKeyWithOps(base, p, key, &pred, base->Contains(key, pred),
+                           &erased);
 }
 
 Status ShardedCcf::LookupBatch(std::span<const uint64_t> keys,
@@ -1435,18 +1411,13 @@ Status ShardedCcf::LookupBatch(std::span<const uint64_t> keys,
   }
 
   // Per-key predicates: resolve in place through the shared skeleton.
+  std::vector<uint64_t> erased;
   ShardedTwoPass(*this, bases, keys,
                  [&](size_t i, size_t s, uint64_t bucket, uint32_t fp) {
-                   const WriteBuffer* overlay = overlays[s];
-                   if (overlay != nullptr && overlay->num_erases() > 0) {
-                     out[i] = ResolveKeyWithOps(bases[s], overlay, keys[i],
-                                                &preds[i]);
-                     return;
-                   }
-                   out[i] = bases[s]->ContainsAddressed(bucket, fp,
-                                                        preds[i]) ||
-                            (overlay != nullptr &&
-                             overlay->Contains(keys[i], preds[i]));
+                   out[i] = ResolveKeyWithOps(
+                       bases[s], overlays[s], keys[i], &preds[i],
+                       bases[s]->ContainsAddressed(bucket, fp, preds[i]),
+                       &erased);
                  });
   return Status::OK();
 }
@@ -1464,17 +1435,12 @@ void ShardedCcf::ContainsKeyBatch(std::span<const uint64_t> keys,
     RoutedBroadcast(bases, overlays, keys, nullptr, out.data()).ok();
     return;
   }
+  std::vector<uint64_t> erased;
   ShardedTwoPass(*this, bases, keys,
                  [&](size_t i, size_t s, uint64_t bucket, uint32_t fp) {
-                   const WriteBuffer* overlay = overlays[s];
-                   if (overlay != nullptr && overlay->num_erases() > 0) {
-                     out[i] = ResolveKeyWithOps(bases[s], overlay, keys[i],
-                                                nullptr);
-                     return;
-                   }
-                   out[i] = bases[s]->ContainsKeyAddressed(bucket, fp) ||
-                            (overlay != nullptr &&
-                             overlay->ContainsKey(keys[i]));
+                   out[i] = ResolveKeyWithOps(
+                       bases[s], overlays[s], keys[i], nullptr,
+                       bases[s]->ContainsKeyAddressed(bucket, fp), &erased);
                  });
 }
 

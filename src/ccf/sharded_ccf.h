@@ -15,7 +15,10 @@
 //     single-writer/multi-reader contract as the unsharded filter.
 //   * Batched writes never block readers: BufferWrite stages rows into a
 //     per-shard write buffer (readers see them immediately through an exact
-//     overlay probe, so Insert→Contains semantics hold before the commit),
+//     overlay probe, so Insert→Contains semantics hold before the commit;
+//     the probe walks only the queried key's chain of staged records, so
+//     staged erases keep every batched read on its prefetched table probe
+//     and only a key with its own staged erase takes the excluding probe),
 //     and CommitWrites builds the staged rows into a copy-on-write clone of
 //     the shard's filter OFF the serving path, publishing the result with
 //     the same epoch swap a resize uses. Readers stay pinned-lock-free
@@ -53,14 +56,17 @@
 //     the build.
 //
 // The batched lookup path prefetches the target shard's bucket pair per key
-// and resolves through CcfBase::ContainsAddressed; shards share one salt but
-// may have DIFFERENT bucket counts after per-shard resizes, so addressing is
-// re-masked per target shard.
+// and resolves through CcfBase::ContainsAddressed (or the shard's own batch
+// path for a broadcast predicate), then folds in the overlay per key through
+// ResolveKeyWithOps; shards share one salt but may have DIFFERENT bucket
+// counts after per-shard resizes, so addressing is re-masked per target
+// shard.
 #ifndef CCF_CCF_SHARDED_CCF_H_
 #define CCF_CCF_SHARDED_CCF_H_
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -140,7 +146,7 @@ struct ShardedCcfOptions {
   /// background commit of THAT shard is scheduled (same futures machinery
   /// as the watermark resizes), folding the overlay into the probe-speed
   /// table without any explicit CommitWrites call. Staged rows stay
-  /// query-visible throughout; the overlay scan just stays short. 0 (the
+  /// query-visible throughout; the overlay just stays small. 0 (the
   /// default) disables the policy.
   size_t autocommit_pending_rows = 0;
   /// Auto-commit AGE trigger: when a buffered write finds the shard's
@@ -440,22 +446,36 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// memo words per row, so a commit feeds them straight into InsertBatch's
   /// memo path and appends them to the log verbatim. Each record also
   /// carries an op tag: kOpInsert stages a row, kOpErase stages a tombstone
-  /// for the (key, packed payload) class. num_erases_ is stored (relaxed)
-  /// BEFORE the release size store, so a reader that acquires size() n and
-  /// then reads num_erases() can never UNDERcount the erase records in
-  /// [0, n) — overcounting (a concurrent appender mid-publish) only sends
-  /// the reader down the exact slow path unnecessarily.
+  /// for the (key, packed payload) class.
+  ///
+  /// Per-key chain index: `heads_` (one slot per record of capacity,
+  /// addressed by a multiplicative hash of the key) holds the newest record
+  /// id of the slot's chain and `next_[i]` the next older one. The writer
+  /// links record i (next_[i] = head, then a release store of head = i)
+  /// before the size store that publishes it, so a reader that binds
+  /// size() n and then acquires a head can follow the chain newest-first,
+  /// skipping ids >= n (linked but published after its snapshot). Reset
+  /// and Adopt rebuild the index when a block is recycled or grown. The
+  /// chain walk (Resolve) is the overlay's whole read side: a key costs
+  /// one head load plus the records that share its slot, whatever the
+  /// overlay holds, so staged erases never force a scan.
   class WriteBuffer {
    public:
     enum : uint8_t { kOpInsert = 0, kOpErase = 1 };
 
+    /// `capacity` is a power of two (PendingWithRoom sizes blocks so).
     WriteBuffer(size_t capacity, size_t num_attrs)
         : capacity_(capacity),
           num_attrs_(num_attrs),
+          head_shift_(64 - std::countr_zero(capacity)),
           keys_(capacity),
           attrs_(capacity * num_attrs),
           memo_(2 * capacity),
-          ops_(capacity) {}
+          ops_(capacity),
+          next_(capacity),
+          heads_(new std::atomic<uint32_t>[capacity]) {
+      Reset();
+    }
 
     size_t capacity() const { return capacity_; }
     /// Reader-side row count; rows [0, size) are fully published.
@@ -475,21 +495,21 @@ class ShardedCcf : public ConditionalCuckooFilter {
     void Stage(size_t offset, uint64_t key, std::span<const uint64_t> attrs,
                uint64_t key_hash, uint64_t payload,
                uint8_t op = kOpInsert) {
-      WriteRecord(size_.load(std::memory_order_relaxed) + offset, key, attrs,
-                  key_hash, payload, op);
+      const size_t i = size_.load(std::memory_order_relaxed) + offset;
+      keys_[i] = key;
+      std::copy(attrs.begin(), attrs.end(),
+                attrs_.begin() + static_cast<ptrdiff_t>(i * num_attrs_));
+      memo_[2 * i] = key_hash;
+      memo_[2 * i + 1] = payload;
+      ops_[i] = op;
     }
 
-    /// Publishes `count` staged records atomically. `staged_erases` (the
-    /// kOpErase records among them) is added BEFORE the release size
-    /// store, preserving the reader's never-undercount contract.
-    void PublishStaged(size_t count, size_t staged_erases = 0) {
-      if (staged_erases != 0) {
-        num_erases_.store(
-            num_erases_.load(std::memory_order_relaxed) + staged_erases,
-            std::memory_order_relaxed);
-      }
-      size_.store(size_.load(std::memory_order_relaxed) + count,
-                  std::memory_order_release);
+    /// Links the `count` staged records into their key chains, then
+    /// publishes them atomically with one release store of the size.
+    void PublishStaged(size_t count) {
+      const size_t n = size_.load(std::memory_order_relaxed);
+      for (size_t i = n; i < n + count; ++i) Link(i);
+      size_.store(n + count, std::memory_order_release);
     }
 
     /// Appends one record (writer-side; requires size_unsync() < capacity).
@@ -497,7 +517,7 @@ class ShardedCcf : public ConditionalCuckooFilter {
                 uint64_t key_hash, uint64_t payload,
                 uint8_t op = kOpInsert) {
       Stage(0, key, attrs, key_hash, payload, op);
-      PublishStaged(1, op == kOpErase ? 1 : 0);
+      PublishStaged(1);
     }
 
     /// Appends erase(old) + insert(new) published by ONE release store, so
@@ -509,36 +529,32 @@ class ShardedCcf : public ConditionalCuckooFilter {
                       uint64_t new_payload) {
       Stage(0, key, old_attrs, old_hash, old_payload, kOpErase);
       Stage(1, key, new_attrs, new_hash, new_payload, kOpInsert);
-      PublishStaged(2, 1);
+      PublishStaged(2);
     }
 
-    /// Copies the first `n` records of `from` (builds the replacement block
-    /// before it is published; writer-side).
+    /// Copies the first `n` records of `from` into this empty (fresh or
+    /// Reset) block and links them (builds the replacement block before it
+    /// is published; writer-side).
     void Adopt(const WriteBuffer& from, size_t n) {
       std::copy_n(from.keys_.begin(), n, keys_.begin());
       std::copy_n(from.attrs_.begin(), n * num_attrs_, attrs_.begin());
       std::copy_n(from.memo_.begin(), 2 * n, memo_.begin());
       std::copy_n(from.ops_.begin(), n, ops_.begin());
-      size_t erases = 0;
-      for (size_t i = 0; i < n; ++i) erases += from.ops_[i] == kOpErase;
-      num_erases_.store(erases, std::memory_order_relaxed);
-      size_.store(n, std::memory_order_relaxed);
+      PublishStaged(n);
     }
 
-    /// Reuse a recycled block (writer-side; no reader can hold it anymore).
+    /// Empties the block and its index (construction, or reuse of a
+    /// recycled block no reader can hold anymore; writer-side).
     void Reset() {
-      num_erases_.store(0, std::memory_order_relaxed);
+      for (size_t h = 0; h < capacity_; ++h) {
+        heads_[h].store(kNoRecord, std::memory_order_relaxed);
+      }
+      num_erases_ = 0;
       size_.store(0, std::memory_order_relaxed);
     }
 
-    /// Erase records among the published rows; read AFTER an acquire of
-    /// size() — never undercounts [0, size), may transiently overcount.
-    size_t num_erases() const {
-      return num_erases_.load(std::memory_order_relaxed);
-    }
-    size_t num_erases_unsync() const {
-      return num_erases_.load(std::memory_order_relaxed);
-    }
+    /// Erase records among the staged rows (writer-side).
+    size_t num_erases_unsync() const { return num_erases_; }
 
     /// Per-record reads (valid for published records, or writer-side).
     uint8_t op(size_t i) const { return ops_[i]; }
@@ -549,60 +565,33 @@ class ShardedCcf : public ConditionalCuckooFilter {
       return {attrs_.data() + i * num_attrs_, num_attrs_};
     }
 
-    /// Overlay probes (reader-side, any thread, no locks): exact matching
-    /// over published records — a staged row (k, a) answers true for (k, P)
-    /// iff P(a) AND no later-staged erase record killed its (k, payload)
-    /// class, which is precisely the no-false-negative contract and
-    /// introduces no approximation of its own. With no erases in the block
-    /// the scan degenerates to the original forward pass. (Whether staged
-    /// erases hide COMMITTED rows is the owning filter's job — see
-    /// ShardedCcf::ResolveKeyWithOps.)
-    bool ContainsKey(uint64_t key) const {
-      size_t n = size();
-      if (num_erases() == 0) {
-        for (size_t i = 0; i < n; ++i) {
-          if (keys_[i] == key) return true;
-        }
-        return false;
-      }
-      // Backward: an erase record is seen before every insert it kills, so
-      // a dead-payload set collected on the way down decides liveness; a
-      // re-insert staged AFTER an erase is visited first and stays live.
-      std::vector<uint64_t> dead;
-      for (size_t i = n; i-- > 0;) {
-        if (keys_[i] != key) continue;
-        uint64_t p = memo_[2 * i + 1];
+    /// The overlay's half of one key's read (reader-side, any thread, no
+    /// locks): binds size() ONCE and walks only the key's chain,
+    /// newest-first. Returns true iff a staged insert of `key` survives
+    /// every later-staged erase of its (key, payload) class and matches
+    /// `pred` (null = key-only) — exact, so it adds no approximation of its
+    /// own. When it returns false, `erased` (cleared first; callers reuse
+    /// one vector across keys) holds the payload words of every staged
+    /// erase of the key in the snapshot: the exclusions the committed
+    /// probe must apply (see ShardedCcf::ResolveKeyWithOps). Both answers
+    /// come from the same snapshot, so an update published mid-read is
+    /// seen whole or not at all.
+    bool Resolve(uint64_t key, const Predicate* pred,
+                 std::vector<uint64_t>* erased) const {
+      erased->clear();
+      const size_t n = size();
+      for (uint32_t i = heads_[HeadSlot(key)].load(std::memory_order_acquire);
+           i != kNoRecord; i = next_[i]) {
+        if (i >= n || keys_[i] != key) continue;
+        const uint64_t p = payload(i);
         if (ops_[i] == kOpErase) {
-          dead.push_back(p);
+          // Seen before every older insert it kills; a re-insert staged
+          // AFTER it was visited first and stays live.
+          erased->push_back(p);
           continue;
         }
-        if (std::find(dead.begin(), dead.end(), p) == dead.end()) return true;
-      }
-      return false;
-    }
-    bool Contains(uint64_t key, const Predicate& pred) const {
-      size_t n = size();
-      if (num_erases() == 0) {
-        for (size_t i = 0; i < n; ++i) {
-          if (keys_[i] == key &&
-              pred.Matches(std::span<const uint64_t>(
-                  attrs_.data() + i * num_attrs_, num_attrs_))) {
-            return true;
-          }
-        }
-        return false;
-      }
-      std::vector<uint64_t> dead;
-      for (size_t i = n; i-- > 0;) {
-        if (keys_[i] != key) continue;
-        uint64_t p = memo_[2 * i + 1];
-        if (ops_[i] == kOpErase) {
-          dead.push_back(p);
-          continue;
-        }
-        if (std::find(dead.begin(), dead.end(), p) == dead.end() &&
-            pred.Matches(std::span<const uint64_t>(
-                attrs_.data() + i * num_attrs_, num_attrs_))) {
+        if (std::find(erased->begin(), erased->end(), p) == erased->end() &&
+            (pred == nullptr || pred->Matches(attrs_row(i)))) {
           return true;
         }
       }
@@ -621,26 +610,31 @@ class ShardedCcf : public ConditionalCuckooFilter {
     }
 
    private:
-    void WriteRecord(size_t n, uint64_t key, std::span<const uint64_t> attrs,
-                     uint64_t key_hash, uint64_t payload, uint8_t op) {
-      keys_[n] = key;
-      std::copy(attrs.begin(), attrs.end(),
-                attrs_.begin() + static_cast<ptrdiff_t>(n * num_attrs_));
-      memo_[2 * n] = key_hash;
-      memo_[2 * n + 1] = payload;
-      ops_[n] = op;
+    static constexpr uint32_t kNoRecord = UINT32_MAX;
+
+    size_t HeadSlot(uint64_t key) const {
+      return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> head_shift_);
+    }
+    /// Makes record i the newest of its chain (writer-side, before the
+    /// size store that publishes it).
+    void Link(size_t i) {
+      std::atomic<uint32_t>& head = heads_[HeadSlot(keys_[i])];
+      next_[i] = head.load(std::memory_order_relaxed);
+      head.store(static_cast<uint32_t>(i), std::memory_order_release);
+      num_erases_ += ops_[i] == kOpErase;
     }
 
     const size_t capacity_;
     const size_t num_attrs_;
+    const int head_shift_;  // 64 - log2(capacity): top bits pick the slot
     std::atomic<size_t> size_{0};
-    /// Erase records among records [0, size_); see the class comment for
-    /// the store-before-publish ordering contract.
-    std::atomic<size_t> num_erases_{0};
+    size_t num_erases_ = 0;  // writer-side
     std::vector<uint64_t> keys_;
     std::vector<uint64_t> attrs_;  // row-major
     std::vector<uint64_t> memo_;   // 2 words per record
     std::vector<uint8_t> ops_;     // kOpInsert / kOpErase per record
+    std::vector<uint32_t> next_;   // older record of the same chain
+    std::unique_ptr<std::atomic<uint32_t>[]> heads_;  // capacity slots
   };
 
   /// Per-shard serving state: the epoch-swappable filter, the writer lock,
@@ -765,13 +759,20 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// and has just appended to the overlay.
   void MaybeScheduleAutoCommit(size_t s, Shard& shard);
 
-  /// Exact reader slow path for a shard whose overlay stages erase records:
-  /// staged liveness via the op-aware overlay probe, committed rows via the
-  /// exclusion-filtered addressed probes (tombstoned classes hidden).
-  /// `pred` null means key-only. Caller holds an epoch pin covering both
-  /// loaded pointers.
+  /// The one overlay resolution behind every read path (scalar, per-key
+  /// batch, broadcast, key-only and the routed workers): `base_hit` is the
+  /// caller's committed-table answer for (key, pred) from its own fast
+  /// probe (scalar, prefetched batch, or addressed). The overlay's chain
+  /// walk answers staged rows; only when the base probe hit AND the key
+  /// has its own staged erase — a reader querying a key just erased — does
+  /// the committed table get re-probed with those payloads excluded
+  /// (Contains*AddressedExcluding). Every other key keeps the batched
+  /// probe's answer. `pred` null means key-only; `erased` is the caller's
+  /// scratch, reused across keys (no per-key allocation). Caller holds an
+  /// epoch pin covering both pointers; `overlay` may be null.
   bool ResolveKeyWithOps(const CcfBase* base, const WriteBuffer* overlay,
-                         uint64_t key, const Predicate* pred) const;
+                         uint64_t key, const Predicate* pred, bool base_hit,
+                         std::vector<uint64_t>* erased) const;
 
   /// Pins every per-node epoch domain (batch paths touch shards on all
   /// nodes; scalar paths pin just their shard's domain directly). Guard i

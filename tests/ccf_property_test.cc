@@ -181,5 +181,36 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyCase{CcfVariant::kPlain, 4, 2, 3, 2}),
     CaseName);
 
+// num_rows() on exact duplicates: (7,{3,4}) twice and (7,{5,6}) once.
+// Plain, Chained and Mixed see the repeat's identical entry and count it
+// once; Bloom ORs every row into the key's sketch, which cannot tell an
+// exact duplicate from a new vector, so it counts every row it absorbs.
+class CcfRowCountTest : public ::testing::TestWithParam<CcfVariant> {};
+
+TEST_P(CcfRowCountTest, ExactDuplicatesCountOnceExceptOnBloom) {
+  CcfConfig c;
+  c.num_buckets = 64;
+  c.slots_per_bucket = 4;
+  c.key_fp_bits = 12;
+  c.attr_fp_bits = 8;
+  c.num_attrs = 2;
+  c.max_dupes = 3;
+  c.bloom_bits = 16;
+  c.salt = 5;
+  auto ccf = ConditionalCuckooFilter::Make(GetParam(), c).ValueOrDie();
+  ASSERT_TRUE(ccf->Insert(7, std::vector<uint64_t>{3, 4}).ok());
+  ASSERT_TRUE(ccf->Insert(7, std::vector<uint64_t>{3, 4}).ok());
+  ASSERT_TRUE(ccf->Insert(7, std::vector<uint64_t>{5, 6}).ok());
+  EXPECT_EQ(ccf->num_rows(), GetParam() == CcfVariant::kBloom ? 3u : 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, CcfRowCountTest,
+    ::testing::Values(CcfVariant::kPlain, CcfVariant::kChained,
+                      CcfVariant::kBloom, CcfVariant::kMixed),
+    [](const ::testing::TestParamInfo<CcfVariant>& info) {
+      return std::string(CcfVariantName(info.param));
+    });
+
 }  // namespace
 }  // namespace ccf
