@@ -728,11 +728,12 @@ BENCHMARK(BM_HotMixedReadWrite)
 // Full-CRUD serving mix on one sharded filter: 80% batched lookups, 20%
 // writes split across BufferWriteBatch inserts, BufferUpdate attribute
 // swaps, and BufferErase tombstones, committed per block — the serving
-// shape the tombstone/compaction machinery exists for. Updates and erases
+// shape the erase/compaction machinery exists for. Updates and erases
 // target previously committed rows with their exact current attribute
-// vectors, so every tombstone does real reclamation work, and the 0.3
-// compact watermark makes log compactions part of the measured steady
-// state (their count is reported as a counter).
+// vectors; a committed erase marks its log rows dead and leaves the table
+// entries as one-sided residue until a rebuild, so the 0.3 compact
+// watermark makes log compactions part of the measured steady state
+// (their count is reported as a counter).
 void BM_HotCrudMix(benchmark::State& state) {
   CcfConfig config = HotPathConfig();
   config.num_buckets = uint64_t{1} << std::min(HotBucketsLog2(), 16);
@@ -948,10 +949,11 @@ BENCHMARK(BM_ShardedParallelLookup)->Apply(ShardedLookupThreadArgs)
 
 // --- Bulk-build hot path -----------------------------------------------------
 //
-// Build-rate rows (rows/s): scalar per-row Insert vs the two-wave batched
-// InsertBatch, per variant on a mid-size table; the large JOB-light-scale
-// chained table headline; and the §4.1 doubling-rebuild cost with and
-// without the hash memo.
+// Build-rate rows (rows/s): scalar per-row Insert (the packed wave-1 step,
+// then the addressed insertion) vs the two-wave batched InsertBatch, per
+// variant on a mid-size table; the large JOB-light-scale chained table
+// headline; a duplicate-heavy chained build; and the §4.1 doubling-rebuild
+// cost with and without the hash memo.
 
 struct BuildRows {
   std::vector<uint64_t> keys;
@@ -1077,6 +1079,39 @@ void BM_HotBuildBatch(benchmark::State& state) {
   state.SetLabel("hot-build-batched");
 }
 BENCHMARK(BM_HotBuildBatch)->Unit(benchmark::kMillisecond);
+
+// movie_keyword-shaped chained build: ~95 distinct attribute vectors per
+// key (chains of ~32 bucket pairs), interleaved like a table scan, plus one
+// exact duplicate of an earlier row after every fifth row (~20%). Prices
+// the insert engine's per-chain cursors and duplicate collapse.
+void BM_HotBuildChainedDupes(benchmark::State& state) {
+  CcfConfig config = HotPathConfig();
+  const uint64_t distinct = HotBuildRows();
+  const uint64_t num_keys = distinct / 95 + 1;
+  BuildRows rows;
+  auto push_row = [&](uint64_t j) {
+    rows.keys.push_back(j % num_keys);
+    rows.flat_attrs.push_back(j / num_keys);
+    rows.flat_attrs.push_back(j % 31);
+  };
+  for (uint64_t i = 0; i < distinct; ++i) {
+    push_row(i);
+    if (i % 5 == 4) push_row(i / 2);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto ccf =
+        ConditionalCuckooFilter::Make(CcfVariant::kChained, config)
+            .ValueOrDie();
+    state.ResumeTiming();
+    ccf->InsertBatch(rows.keys, rows.flat_attrs).Abort();
+    benchmark::DoNotOptimize(ccf->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.keys.size()));
+  state.SetLabel("hot-build-chained-dupes");
+}
+BENCHMARK(BM_HotBuildChainedDupes)->Unit(benchmark::kMillisecond);
 
 // §4.1 doubling rebuild of the hot table: re-place every row into a table
 // with twice the buckets. Arg 0 = the pre-batching retry path (scalar

@@ -71,30 +71,15 @@ void BloomCcf::FoldRow(uint64_t bucket, int slot,
   }
 }
 
-Status BloomCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
-  if (static_cast<int>(attrs.size()) != config_.num_attrs) {
-    return Status::Invalid("attribute count does not match schema");
-  }
-  EnsureTableUnique();
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  BucketPair pair = PairOf(bucket, fp);
-  // Packed-compare scalar fast path (opt-in via
-  // CcfConfig::reproducible_scalar = false); falls through to the full
-  // addressed insertion when displacement or chain/conversion work is
-  // needed.
-  if (ScalarInsertFast(pair, fp, attrs)) return Status::OK();
-  return InsertAddressed(pair, fp, attrs);
-}
-
 Status BloomCcf::InsertAddressed(const BucketPair& pair, uint32_t fp,
-                                 std::span<const uint64_t> attrs) {
+                                 std::span<const uint64_t> attrs,
+                                 uint64_t /*payload*/,
+                                 ChainCursors* /*cursors*/) {
   // One entry per fingerprint per pair (same occupancy as a cuckoo filter):
   // further rows of the key fold into the existing entry's Bloom sketch.
-  auto slots = SlotsWithFp(pair, fp);
-  if (!slots.empty()) {
-    FoldRow(slots.front().first, slots.front().second, attrs);
+  auto [hit_b, hit_s] = FirstCopy(pair, fp);
+  if (hit_s >= 0) {
+    FoldRow(hit_b, hit_s, attrs);
     ++num_rows_;
     return Status::OK();
   }
@@ -132,18 +117,12 @@ uint64_t BloomCcf::PackRowPayload(std::span<const uint64_t> attrs) const {
 bool BloomCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
                                std::span<const uint64_t> attrs,
                                uint64_t payload) {
-  // First occupied copy of κ in the pair absorbs the row (matches
-  // SlotsWithFp's front(): primary bucket first, ascending slots).
+  // First occupied copy of κ in the pair absorbs the row (as in
+  // InsertAddressed: FirstCopy).
   if (table_->slot_bits() > 64) {
     // Oversized sketch windows: fold through BloomSketchView (cold
     // fallback).
-    uint64_t hit_b = 0;
-    int hit_s = -1;
-    ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
-      hit_b = b;
-      hit_s = s;
-      return true;
-    });
+    auto [hit_b, hit_s] = FirstCopy(pair, fp);
     if (hit_s >= 0) {
       FoldRow(hit_b, hit_s, attrs);
       ++num_rows_;
@@ -186,20 +165,6 @@ bool BloomCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   table_->PutSlot(b, s, fp, sketch_word);
   ++num_rows_;
   return true;
-}
-
-bool BloomCcf::ContainsKey(uint64_t key) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  return CountFpInPair(PairOf(bucket, fp), fp) > 0;
-}
-
-bool BloomCcf::Contains(uint64_t key, const Predicate& pred) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  return ContainsAddressed(bucket, fp, pred);
 }
 
 bool BloomCcf::ContainsAddressed(uint64_t bucket, uint32_t fp,

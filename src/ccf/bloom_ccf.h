@@ -19,9 +19,6 @@ class BloomCcf : public CcfBase {
   static Result<std::unique_ptr<ConditionalCuckooFilter>> Make(
       const CcfConfig& config);
 
-  Status Insert(uint64_t key, std::span<const uint64_t> attrs) override;
-  bool ContainsKey(uint64_t key) const override;
-  bool Contains(uint64_t key, const Predicate& pred) const override;
   bool ContainsAddressed(uint64_t bucket, uint32_t fp,
                          const Predicate& pred) const override;
   bool ContainsAddressedExcluding(
@@ -49,13 +46,26 @@ class BloomCcf : public CcfBase {
                        std::span<const uint64_t> attrs,
                        uint64_t payload) override;
   Status InsertAddressed(const BucketPair& pair, uint32_t fp,
-                         std::span<const uint64_t> attrs) override;
+                         std::span<const uint64_t> attrs, uint64_t payload,
+                         ChainCursors* cursors) override;
 
  private:
   BloomCcf(CcfConfig config, BucketTable table);
 
   BloomSketchView EntrySketch(uint64_t bucket, int slot) const;
   bool EntryMatches(uint64_t bucket, int slot, const Predicate& pred) const;
+
+  /// The pair's first copy of fp (primary bucket first, ascending slots):
+  /// the entry further rows of the key fold into; slot -1 when none.
+  std::pair<uint64_t, int> FirstCopy(const BucketPair& pair,
+                                     uint32_t fp) const {
+    std::pair<uint64_t, int> hit{0, -1};
+    ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
+      hit = {b, s};
+      return true;
+    });
+    return hit;
+  }
 
   /// ORs the row's (attribute, value) bits into the entry's Bloom sketch.
   void FoldRow(uint64_t bucket, int slot, std::span<const uint64_t> attrs);

@@ -64,22 +64,6 @@ void ConditionalCuckooFilter::ContainsKeyBatch(std::span<const uint64_t> keys,
   for (size_t i = 0; i < keys.size(); ++i) out[i] = ContainsKey(keys[i]);
 }
 
-Status ConditionalCuckooFilter::InsertBatch(std::span<const uint64_t> keys,
-                                            std::span<const uint64_t> attrs,
-                                            std::vector<uint64_t>* hash_memo) {
-  const size_t num_attrs = static_cast<size_t>(config().num_attrs);
-  if (attrs.size() != keys.size() * num_attrs) {
-    return Status::Invalid(
-        "InsertBatch: attrs must hold keys.size() * num_attrs values");
-  }
-  (void)hash_memo;  // the scalar fallback has no address pass to memoize
-  for (size_t i = 0; i < keys.size(); ++i) {
-    CCF_RETURN_NOT_OK(
-        Insert(keys[i], attrs.subspan(i * num_attrs, num_attrs)));
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<ConditionalCuckooFilter>>
 ConditionalCuckooFilter::Clone() const {
   return Status::Invalid("Clone is not supported by this filter type");
@@ -263,7 +247,7 @@ ChainWalk::ChainWalk(const Hasher* hasher, uint64_t bucket_mask,
                      uint64_t start_bucket, uint32_t fp)
     : hasher_(hasher), bucket_mask_(bucket_mask), fp_(fp) {
   pair_ = MakePair(start_bucket);
-  visited_.push_back(pair_.Canonical(bucket_mask_ + 1));
+  visited_[0] = pair_.Canonical(bucket_mask_ + 1);
 }
 
 BucketPair ChainWalk::MakePair(uint64_t bucket) const {
@@ -273,10 +257,10 @@ BucketPair ChainWalk::MakePair(uint64_t bucket) const {
 }
 
 bool ChainWalk::Visited(uint64_t canonical) const {
-  for (uint64_t v : visited_) {
-    if (v == canonical) return true;
-  }
-  return false;
+  const uint64_t* end = visited_ + std::min(hops_ + 1, kHardChainCap);
+  return std::find(visited_, end, canonical) != end ||
+         std::find(visited_overflow_.begin(), visited_overflow_.end(),
+                   canonical) != visited_overflow_.end();
 }
 
 void ChainWalk::Advance() {
@@ -287,8 +271,12 @@ void ChainWalk::Advance() {
     uint64_t canonical = candidate.Canonical(bucket_mask_ + 1);
     if (!Visited(canonical) || round >= kMaxCycleRounds) {
       pair_ = candidate;
-      visited_.push_back(canonical);
       ++hops_;
+      if (hops_ < kHardChainCap) {
+        visited_[hops_] = canonical;
+      } else {
+        visited_overflow_.push_back(canonical);
+      }
       return;
     }
   }
@@ -382,6 +370,7 @@ Status CcfBase::InsertBatch(std::span<const uint64_t> keys,
   options.cluster_bits = std::bit_width(table.bucket_mask());
   options.block_size = kInsertBatchBlock;
   Status first_error = Status::OK();
+  ChainCursors cursors;
   RunBatchPipelineTwoWave<Addr>(
       keys.size(), options,
       [&](size_t i) {
@@ -433,11 +422,41 @@ Status CcfBase::InsertBatch(std::span<const uint64_t> keys,
       },
       [&](size_t i, const Addr& a) {
         if (!first_error.ok()) return;
-        Status st = InsertAddressed(a.pair, a.fp,
-                                    attrs.subspan(i * num_attrs, num_attrs));
+        Status st =
+            InsertAddressed(a.pair, a.fp,
+                            attrs.subspan(i * num_attrs, num_attrs),
+                            a.payload, &cursors);
         if (!st.ok()) first_error = std::move(st);
       });
   return first_error;
+}
+
+bool CcfBase::ContainsKey(uint64_t key) const {
+  uint64_t bucket;
+  uint32_t fp;
+  KeyAddress(key, &bucket, &fp);
+  return ContainsKeyAddressed(bucket, fp);
+}
+
+bool CcfBase::Contains(uint64_t key, const Predicate& pred) const {
+  uint64_t bucket;
+  uint32_t fp;
+  KeyAddress(key, &bucket, &fp);
+  return ContainsAddressed(bucket, fp, pred);
+}
+
+Status CcfBase::Insert(uint64_t key, std::span<const uint64_t> attrs) {
+  if (static_cast<int>(attrs.size()) != config_.num_attrs) {
+    return Status::Invalid("attribute count does not match schema");
+  }
+  EnsureTableUnique();
+  uint64_t bucket;
+  uint32_t fp;
+  KeyAddress(key, &bucket, &fp);
+  const BucketPair pair = PairOf(bucket, fp);
+  const uint64_t payload = PackRowPayload(attrs);
+  if (TryInsertNoKick(pair, fp, attrs, payload)) return Status::OK();
+  return InsertAddressed(pair, fp, attrs, payload, /*cursors=*/nullptr);
 }
 
 void CcfBase::KeyAddress(uint64_t key, uint64_t* bucket, uint32_t* fp) const {
@@ -448,20 +467,6 @@ void CcfBase::KeyAddress(uint64_t key, uint64_t* bucket, uint32_t* fp) const {
 BucketPair CcfBase::PairOf(uint64_t bucket, uint32_t fp) const {
   return BucketPair{bucket, cuckoo_addressing::AltBucket(
                                 hasher_, bucket, fp, table_->bucket_mask())};
-}
-
-std::vector<std::pair<uint64_t, int>> CcfBase::SlotsWithFp(
-    const BucketPair& pair, uint32_t fp) const {
-  std::vector<std::pair<uint64_t, int>> out;
-  auto scan = [&](uint64_t b) {
-    table_->ForEachOccupiedMatch(b, fp, [&](int s) {
-      out.emplace_back(b, s);
-      return false;
-    });
-  };
-  scan(pair.primary);
-  if (!pair.degenerate()) scan(pair.alt);
-  return out;
 }
 
 int CcfBase::CountFpInPair(const BucketPair& pair, uint32_t fp) const {

@@ -63,13 +63,6 @@ struct CcfConfig {
   uint64_t salt = 0;
   /// MaxKicks for cuckoo displacement.
   int max_kicks = 500;
-  /// Scalar Insert takes the historical per-attribute SlotsWithFp path when
-  /// true (the default), pinning pre-existing builds bit-for-bit
-  /// (`ccf_joblight --build scalar` relies on it). false enables the
-  /// packed-compare scalar fast path: displacement-free rows dedupe via one
-  /// word compare and land via one PutSlot field store (the batched wave-1
-  /// placement, applied row-at-a-time). Build-time knob; not serialized.
-  bool reproducible_scalar = true;
 };
 
 /// Hard cap on chain walks when max_chain is 0 ("unbounded").
@@ -122,8 +115,8 @@ class ConditionalCuckooFilter {
   /// prefetch, and reorder row placement: entry/row counts and answers for
   /// inserted rows are unaffected, while exact slot assignment (hence
   /// absent-key false positives) may differ from the scalar loop. CcfBase
-  /// overrides this with the two-wave prefetched write pipeline; the base
-  /// implementation is the scalar loop.
+  /// implements it as the one insert engine (a two-wave prefetched write
+  /// pipeline); containers forward to their inner filters' engines.
   ///
   /// `hash_memo`, when non-null, caches the geometry-independent half of
   /// each row's hash pipeline — two words per row: the salt-keyed key hash
@@ -136,7 +129,7 @@ class ConditionalCuckooFilter {
   /// 2 * keys.size() entries.
   virtual Status InsertBatch(std::span<const uint64_t> keys,
                              std::span<const uint64_t> attrs,
-                             std::vector<uint64_t>* hash_memo = nullptr);
+                             std::vector<uint64_t>* hash_memo = nullptr) = 0;
 
   /// Copies the filter OBJECT while sharing its current immutable table
   /// snapshot, so cloning a multi-megabyte filter costs O(object), not

@@ -9,6 +9,7 @@
 #include <bit>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -66,7 +67,36 @@ class ChainWalk {
   uint32_t fp_;
   BucketPair pair_;
   int hops_ = 0;
-  std::vector<uint64_t> visited_;
+  /// Canonical ids of the pairs walked: inline for the first kHardChainCap
+  /// (every walk under the default cap), on the heap only past it.
+  uint64_t visited_[kHardChainCap];
+  std::vector<uint64_t> visited_overflow_;
+};
+
+/// \brief The chained variant's per-chain state for one InsertBatch call:
+/// for each long chain, the walk parked at its first pair with room and the
+/// payload words of the saturated pairs before it, so a key's j-th vector
+/// resumes there instead of re-walking j/d pairs. Exact: during a batch a
+/// pair holding d copies of an fp never gains or loses one (placement needs
+/// fewer, kicks stay inside their pair, nothing is erased), so saturated
+/// words are frozen; the pair with room is rescanned on every visit, which
+/// sees an alias or a crossing chain of the same fp fill it.
+struct ChainCursors {
+  struct Cursor {
+    /// Starts the walk at hop 1 (hop 0, the key's own pair, is always
+    /// scanned directly).
+    Cursor(const Hasher* hasher, uint64_t bucket_mask, uint64_t start_bucket,
+           uint32_t fp)
+        : walk(hasher, bucket_mask, start_bucket, fp) {
+      walk.Advance();
+    }
+    ChainWalk walk;  // at the first hop >= 1 not known saturated
+    /// (payload word, hop) of the fp copies in hops [1, walk.hops()).
+    std::vector<std::pair<uint64_t, int>> words;
+  };
+  /// Keyed by (min bucket of the first pair, fp): aliases share a chain,
+  /// and both orientations of a first pair walk the same later pairs.
+  std::unordered_map<uint64_t, Cursor> by_start;
 };
 
 /// \brief Common state + helpers for CCF implementations.
@@ -168,19 +198,29 @@ class CcfBase : public ConditionalCuckooFilter {
   void ContainsKeyBatch(std::span<const uint64_t> keys,
                         std::span<bool> out) const override;
 
-  /// The write-side twin of the batched lookup hot path, shared by all four
-  /// variants: instantiates the library two-wave pipeline over the rows —
-  /// hash a block (or re-mask `hash_memo` on a rebuild), radix-cluster by
-  /// primary bucket, prefetch both buckets of each pair, then wave 1 runs
-  /// the variant's displacement-free placement (TryInsertNoKick: dedupe +
-  /// free-slot writes against cached lines) and wave 2 completes only the
-  /// leftovers with the full scalar logic (InsertAddressed: kicks, chain
-  /// walks, Bloom conversion). Deterministic: identical inputs (and memo
-  /// state) yield bit-identical tables, which is what makes memoized
+  /// The one insert engine, shared by all four variants: instantiates the
+  /// library two-wave pipeline over the rows — hash a block (or re-mask
+  /// `hash_memo` on a rebuild), radix-cluster by primary bucket, prefetch
+  /// both buckets of each pair, then wave 1 runs the variant's
+  /// displacement-free placement (TryInsertNoKick: dedupe + free-slot
+  /// writes against cached lines) and wave 2 completes only the leftovers
+  /// (InsertAddressed: kicks, chain walks resumed from the batch's
+  /// ChainCursors, Bloom conversion). Deterministic: identical inputs (and
+  /// memo state) yield bit-identical tables, which is what makes memoized
   /// doubling rebuilds reproducible against from-scratch ones.
   Status InsertBatch(std::span<const uint64_t> keys,
                      std::span<const uint64_t> attrs,
                      std::vector<uint64_t>* hash_memo = nullptr) override;
+
+  /// Key-only membership (§7.1): any copy of the key's fingerprint in its
+  /// first pair, for every variant — a present key always has one there.
+  bool ContainsKey(uint64_t key) const override;
+  bool Contains(uint64_t key, const Predicate& pred) const override;
+
+  /// A batch of one: the packed wave-1 step, then InsertAddressed for a row
+  /// it cannot settle. Places exactly as the full addressed insertion
+  /// would, since wave 1 makes the same dedupe and free-slot decisions.
+  Status Insert(uint64_t key, std::span<const uint64_t> attrs) override;
 
   std::string Serialize() const override;
 
@@ -309,11 +349,14 @@ class CcfBase : public ConditionalCuckooFilter {
                                std::span<const uint64_t> attrs,
                                uint64_t payload) = 0;
 
-  /// Wave-2 hook of InsertBatch and the body of the scalar Insert: the
-  /// variant's complete insertion logic from a precomputed address
-  /// (Algorithm 3/4 placement with kicks / chain walk / conversion).
+  /// Wave-2 hook of InsertBatch (and of Insert): the variant's complete
+  /// insertion logic from a precomputed address (Algorithm 3/4 placement
+  /// with kicks / chain walk / conversion). `payload` is PackRowPayload(
+  /// attrs); `cursors` carries the batch's per-chain state (null: the walk
+  /// keeps its state for this row only).
   virtual Status InsertAddressed(const BucketPair& pair, uint32_t fp,
-                                 std::span<const uint64_t> attrs) = 0;
+                                 std::span<const uint64_t> attrs,
+                                 uint64_t payload, ChainCursors* cursors) = 0;
 
   /// An entry's full payload word — what the packed wave-1 paths store and
   /// what the memo's payload word equals for every variant (vector packs,
@@ -363,20 +406,14 @@ class CcfBase : public ConditionalCuckooFilter {
   /// The pair of a (bucket, fp).
   BucketPair PairOf(uint64_t bucket, uint32_t fp) const;
 
-  /// Occupied slots in the pair with the given fingerprint, as
-  /// (bucket, slot); degenerate pairs are scanned once.
-  std::vector<std::pair<uint64_t, int>> SlotsWithFp(const BucketPair& pair,
-                                                    uint32_t fp) const;
-
   int CountFpInPair(const BucketPair& pair, uint32_t fp) const;
 
-  /// Allocation-free pair scan for the query hot path: calls
+  /// The allocation-free pair scan of every read and write path: calls
   /// `matches(bucket, slot)` on every occupied slot of the pair holding
-  /// `fp`, short-circuiting on the first true. Returns {copies seen so
-  /// far, matched}; when matched is false the count covers the whole pair
-  /// (the chained variant's saturation test). Unlike SlotsWithFp this
-  /// never touches the heap — per-query allocations would dominate the
-  /// batched path's prefetch win.
+  /// `fp` (primary bucket first, ascending slots; degenerate pairs once),
+  /// short-circuiting on the first true. Returns {copies seen so far,
+  /// matched}; when matched is false the count covers the whole pair (the
+  /// chained variant's saturation test).
   template <typename EntryMatcher>
   std::pair<int, bool> ScanPairWithFp(const BucketPair& pair, uint32_t fp,
                                       EntryMatcher&& matches) const {
@@ -441,19 +478,6 @@ class CcfBase : public ConditionalCuckooFilter {
     if (table_.use_count() > 1) {
       table_ = std::make_shared<BucketTable>(*table_);
     }
-  }
-
-  /// Packed-compare scalar Insert fast path (ROADMAP item): reuses the
-  /// variant's displacement-free wave-1 placement (single-word dupe compare
-  /// + PutSlot free-slot store) for row-at-a-time writers. Gated off by
-  /// config.reproducible_scalar (the default) because per-row placement can
-  /// in principle differ from the historical SlotsWithFp path on exotic
-  /// geometries — `ccf_joblight --build scalar` outputs stay bit-identical
-  /// unless a caller opts in. Returns true when the row was fully handled.
-  bool ScalarInsertFast(const BucketPair& pair, uint32_t fp,
-                        std::span<const uint64_t> attrs) {
-    if (config_.reproducible_scalar) return false;
-    return TryInsertNoKick(pair, fp, attrs, PackRowPayload(attrs));
   }
 
   CcfConfig config_;

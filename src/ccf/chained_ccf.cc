@@ -1,6 +1,6 @@
 #include "ccf/chained_ccf.h"
 
-#include <optional>
+#include <algorithm>
 
 #include "ccf/entry_match.h"
 
@@ -22,43 +22,17 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> ChainedCcf::Make(
       new ChainedCcf(config, std::move(table)));
 }
 
-Status ChainedCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
-  if (static_cast<int>(attrs.size()) != config_.num_attrs) {
-    return Status::Invalid("attribute count does not match schema");
-  }
-  EnsureTableUnique();
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  BucketPair pair = PairOf(bucket, fp);
-  // Packed-compare scalar fast path (opt-in via
-  // CcfConfig::reproducible_scalar = false); falls through to the full
-  // addressed insertion when displacement or chain/conversion work is
-  // needed.
-  if (ScalarInsertFast(pair, fp, attrs)) return Status::OK();
-  return InsertAddressed(pair, fp, attrs);
-}
-
 Status ChainedCcf::InsertAddressed(const BucketPair& first_pair, uint32_t fp,
-                                   std::span<const uint64_t> attrs) {
-  ChainWalk walk(&hasher_, table_->bucket_mask(), first_pair.primary, fp);
-  for (int hop = 0; hop < ChainCap(); ++hop) {
-    const BucketPair& pair = walk.pair();
-
-    // Algorithm 4: success if the identical (κ, α) entry already exists.
-    auto slots = SlotsWithFp(pair, fp);
-    for (const auto& [b, s] : slots) {
-      if (codec_.EqualsStored(*table_, b, s, /*base=*/0, attrs)) {
-        if (hop > max_chain_seen_) max_chain_seen_ = hop;
-        return Status::OK();
-      }
-    }
-
-    if (static_cast<int>(slots.size()) >= config_.max_dupes) {
-      walk.Advance();  // pair saturated with κ copies: next pair (ℓ̃)
-      continue;
-    }
-
+                                   std::span<const uint64_t> attrs,
+                                   uint64_t payload, ChainCursors* cursors) {
+  // Algorithm 4: success if the identical (κ, α) entry already exists on
+  // the walk; else place at the first pair holding fewer than d copies.
+  const bool packed = table_->slot_bits() <= 64;
+  auto identical = [&](uint64_t b, int s) {
+    return packed ? EntryPayloadWord(b, s) == payload
+                  : codec_.EqualsStored(*table_, b, s, /*base=*/0, attrs);
+  };
+  auto place = [&](const BucketPair& pair, int hop) {
     bool placed = PlaceWithKicks(pair, fp, [&](uint64_t b, int s) {
       codec_.Store(table_.get(), b, s, /*base=*/0, attrs);
     });
@@ -69,13 +43,69 @@ Status ChainedCcf::InsertAddressed(const BucketPair& first_pair, uint32_t fp,
     if (hop > max_chain_seen_) max_chain_seen_ = hop;
     ++num_rows_;
     return Status::OK();
-  }
-
+  };
+  auto collapse = [&](int hop) {
+    if (hop > max_chain_seen_) max_chain_seen_ = hop;
+    return Status::OK();
+  };
   // Every pair up to the cap holds d copies of κ: queries for this key
   // return true regardless of predicate (Theorem 3), so dropping the row
   // cannot cause a false negative.
-  ++num_overflow_rows_;
-  return Status::OK();
+  auto overflow = [&] {
+    ++num_overflow_rows_;
+    return Status::OK();
+  };
+
+  // Hop 0 is the row's own pair, scanned directly: rows that never chain
+  // (the first pair has room) never touch the cursors.
+  auto [count, dup] = ScanPairWithFp(first_pair, fp, identical);
+  if (dup) return collapse(0);
+  if (count < config_.max_dupes) return place(first_pair, 0);
+
+  // The first pair is saturated with κ copies: walk κ's chain. A chain the
+  // batch already has a cursor for resumes there; otherwise the first
+  // kDirectHops pairs are walked directly (no state, no allocation), and a
+  // chain that runs past them gets a cursor, so its later vectors skip the
+  // saturated prefix.
+  const uint64_t start_key =
+      (std::min(first_pair.primary, first_pair.alt) << config_.key_fp_bits) |
+      fp;
+  ChainCursors::Cursor* cursor = nullptr;
+  if (cursors != nullptr) {
+    auto it = cursors->by_start.find(start_key);
+    if (it != cursors->by_start.end()) cursor = &it->second;
+  }
+  if (cursor == nullptr) {
+    const int direct = cursors != nullptr && packed
+                           ? std::min(ChainCap(), kDirectHops)
+                           : ChainCap();
+    ChainWalk walk(&hasher_, table_->bucket_mask(), first_pair.primary, fp);
+    for (int hop = 1; hop < direct; ++hop) {
+      walk.Advance();
+      auto [copies, hit] = ScanPairWithFp(walk.pair(), fp, identical);
+      if (hit) return collapse(hop);
+      if (copies < config_.max_dupes) return place(walk.pair(), hop);
+    }
+    if (direct == ChainCap()) return overflow();
+    cursor = &cursors->by_start
+                  .try_emplace(start_key, &hasher_, table_->bucket_mask(),
+                               first_pair.primary, fp)
+                  .first->second;
+  }
+  for (const auto& [word, hop] : cursor->words) {
+    if (word == payload) return collapse(hop);
+  }
+  for (ChainWalk& at = cursor->walk; at.hops() < ChainCap(); at.Advance()) {
+    auto [copies, hit] = ScanPairWithFp(at.pair(), fp, identical);
+    if (hit) return collapse(at.hops());
+    if (copies < config_.max_dupes) return place(at.pair(), at.hops());
+    // Saturated: its words are frozen from here on.
+    ScanPairWithFp(at.pair(), fp, [&](uint64_t b, int s) {
+      cursor->words.emplace_back(EntryPayloadWord(b, s), at.hops());
+      return false;
+    });
+  }
+  return overflow();
 }
 
 uint64_t ChainedCcf::PackRowPayload(std::span<const uint64_t> attrs) const {
@@ -136,22 +166,6 @@ bool ChainedCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   table_->PutSlot(free_bucket, free_slot, fp, packed);
   ++num_rows_;
   return true;
-}
-
-bool ChainedCcf::ContainsKey(uint64_t key) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  // §7.1: the chain is irrelevant for key-only queries — a present key
-  // always has a copy in its first bucket pair.
-  return CountFpInPair(PairOf(bucket, fp), fp) > 0;
-}
-
-bool ChainedCcf::Contains(uint64_t key, const Predicate& pred) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  return ContainsAddressed(bucket, fp, pred);
 }
 
 bool ChainedCcf::ContainsAddressed(uint64_t bucket, uint32_t fp,

@@ -6,7 +6,6 @@
 #define CCF_CCF_CHAINED_CCF_H_
 
 #include <memory>
-#include <optional>
 
 #include "ccf/ccf_base.h"
 
@@ -18,18 +17,6 @@ class ChainedCcf : public CcfBase {
   static Result<std::unique_ptr<ConditionalCuckooFilter>> Make(
       const CcfConfig& config);
 
-  /// Inserts per Algorithm 4. Outcomes:
-  ///  * OK — stored, or safely absorbed: when every chain pair up to Lmax is
-  ///    full of κ copies the row is dropped but queries for it return true
-  ///    regardless (Theorem 3's terminal case), counted in
-  ///    num_overflow_rows().
-  ///  * CapacityError — a cuckoo kick budget was exhausted; the row is NOT
-  ///    represented and the caller must stop/resize (this is the "failed
-  ///    insertion" event of Figure 4).
-  Status Insert(uint64_t key, std::span<const uint64_t> attrs) override;
-
-  bool ContainsKey(uint64_t key) const override;
-  bool Contains(uint64_t key, const Predicate& pred) const override;
   bool ContainsAddressed(uint64_t bucket, uint32_t fp,
                          const Predicate& pred) const override;
   bool ContainsAddressedExcluding(
@@ -63,36 +50,53 @@ class ChainedCcf : public CcfBase {
   bool TryInsertNoKick(const BucketPair& pair, uint32_t fp,
                        std::span<const uint64_t> attrs,
                        uint64_t payload) override;
+  /// Inserts per Algorithm 4. Outcomes:
+  ///  * OK — stored, or safely absorbed: when every chain pair up to Lmax is
+  ///    full of κ copies the row is dropped but queries for it return true
+  ///    regardless (Theorem 3's terminal case), counted in
+  ///    num_overflow_rows().
+  ///  * CapacityError — a cuckoo kick budget was exhausted; the row is NOT
+  ///    represented and the caller must stop/resize (this is the "failed
+  ///    insertion" event of Figure 4).
   Status InsertAddressed(const BucketPair& pair, uint32_t fp,
-                         std::span<const uint64_t> attrs) override;
+                         std::span<const uint64_t> attrs, uint64_t payload,
+                         ChainCursors* cursors) override;
   void SaveExtras(ByteWriter* writer) const override;
   Status LoadExtras(ByteReader* reader) override;
 
  private:
   ChainedCcf(CcfConfig config, BucketTable table);
 
+  /// Chain pairs a batch walks directly before it keeps a cursor for the
+  /// chain (ChainCursors): short chains are cheaper to re-walk than to
+  /// index.
+  static constexpr int kDirectHops = 4;
+
   /// Algorithm 5's walk with a pluggable entry matcher (raw predicate or
   /// precompiled fingerprints), starting from the key's already-computed
-  /// first pair. The ChainWalk is only materialized once the first pair is
-  /// saturated, keeping the common case allocation-free.
+  /// first pair. The first pair is scanned inline; only a saturated one
+  /// calls out to the chain walk, which keeps the ChainWalk (and its inline
+  /// visited buffer) out of the batched probe loop's frame.
   template <typename EntryMatcher>
   bool WalkContains(BucketPair first_pair, uint32_t fp,
                     EntryMatcher&& matches) const {
-    std::optional<ChainWalk> walk;
-    BucketPair pair = first_pair;
-    for (int hop = 0; hop < ChainCap(); ++hop) {
-      if (hop > 0) pair = walk->pair();
-      auto [count, matched] = ScanPairWithFp(pair, fp, matches);
+    auto [count, matched] = ScanPairWithFp(first_pair, fp, matches);
+    if (matched) return true;
+    if (count != config_.max_dupes) return false;
+    return WalkChainContains(first_pair, fp, matches);
+  }
+
+  /// WalkContains past a saturated first pair: hops 1 .. Lmax-1.
+  template <typename EntryMatcher>
+  [[gnu::noinline]] bool WalkChainContains(const BucketPair& first_pair,
+                                           uint32_t fp,
+                                           EntryMatcher& matches) const {
+    ChainWalk walk(&hasher_, table_->bucket_mask(), first_pair.primary, fp);
+    for (int hop = 1; hop < ChainCap(); ++hop) {
+      walk.Advance();
+      auto [count, matched] = ScanPairWithFp(walk.pair(), fp, matches);
       if (matched) return true;
       if (count != config_.max_dupes) return false;
-      if (hop + 1 < ChainCap()) {
-        // Exactly d copies: the chain may continue at the next pair.
-        if (!walk) {
-          walk.emplace(&hasher_, table_->bucket_mask(), first_pair.primary,
-                       fp);
-        }
-        walk->Advance();
-      }
     }
     // Lmax pairs checked, all holding d copies: true regardless of
     // predicate (Algorithm 5's terminal case).

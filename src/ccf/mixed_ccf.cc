@@ -50,9 +50,10 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> MixedCcf::Make(
 std::vector<std::pair<uint64_t, int>> MixedCcf::CanonicalFragments(
     const BucketPair& pair, uint32_t fp) const {
   std::vector<std::pair<uint64_t, int>> frags;
-  for (const auto& [b, s] : SlotsWithFp(pair, fp)) {
+  ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
     if (IsConverted(b, s)) frags.emplace_back(b, s);
-  }
+    return false;
+  });
   std::sort(frags.begin(), frags.end(),
             [this](const auto& a, const auto& b) {
               return SeqOf(a.first, a.second) < SeqOf(b.first, b.second);
@@ -103,7 +104,11 @@ bool MixedCcf::SketchMatches(const BloomSketchView& sketch,
 
 void MixedCcf::ConvertToBloom(const BucketPair& pair, uint32_t fp,
                               std::span<const uint64_t> attrs) {
-  auto slots = SlotsWithFp(pair, fp);
+  std::vector<std::pair<uint64_t, int>> slots;
+  ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
+    slots.emplace_back(b, s);
+    return false;
+  });
   CCF_DCHECK(static_cast<int>(slots.size()) == config_.max_dupes);
   std::sort(slots.begin(), slots.end());
 
@@ -136,25 +141,10 @@ void MixedCcf::ConvertToBloom(const BucketPair& pair, uint32_t fp,
   ++num_conversions_;
 }
 
-Status MixedCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
-  if (static_cast<int>(attrs.size()) != config_.num_attrs) {
-    return Status::Invalid("attribute count does not match schema");
-  }
-  EnsureTableUnique();
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  BucketPair pair = PairOf(bucket, fp);
-  // Packed-compare scalar fast path (opt-in via
-  // CcfConfig::reproducible_scalar = false); falls through to the full
-  // addressed insertion when displacement or chain/conversion work is
-  // needed.
-  if (ScalarInsertFast(pair, fp, attrs)) return Status::OK();
-  return InsertAddressed(pair, fp, attrs);
-}
-
 Status MixedCcf::InsertAddressed(const BucketPair& pair, uint32_t fp,
-                                 std::span<const uint64_t> attrs) {
+                                 std::span<const uint64_t> attrs,
+                                 uint64_t /*payload*/,
+                                 ChainCursors* /*cursors*/) {
   // Already converted: fold into the packed Bloom filter (never fails).
   auto frags = CanonicalFragments(pair, fp);
   if (!frags.empty()) {
@@ -165,14 +155,12 @@ Status MixedCcf::InsertAddressed(const BucketPair& pair, uint32_t fp,
   }
 
   // Collapse duplicate (κ, α) rows among vector entries.
-  auto slots = SlotsWithFp(pair, fp);
-  for (const auto& [b, s] : slots) {
-    if (codec_.EqualsStored(*table_, b, s, vec_base_, attrs)) {
-      return Status::OK();
-    }
-  }
+  auto [count, dup] = ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
+    return codec_.EqualsStored(*table_, b, s, vec_base_, attrs);
+  });
+  if (dup) return Status::OK();
 
-  if (static_cast<int>(slots.size()) >= config_.max_dupes) {
+  if (count >= config_.max_dupes) {
     // (d+1)-th distinct duplicate: convert the pair's d vectors to a Bloom
     // filter and fold this row in (§6.1).
     ConvertToBloom(pair, fp, attrs);
@@ -276,20 +264,6 @@ bool MixedCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   table_->PutSlot(free_bucket, free_slot, fp, packed_payload);
   ++num_rows_;
   return true;
-}
-
-bool MixedCcf::ContainsKey(uint64_t key) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  return CountFpInPair(PairOf(bucket, fp), fp) > 0;
-}
-
-bool MixedCcf::Contains(uint64_t key, const Predicate& pred) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  return ContainsAddressed(bucket, fp, pred);
 }
 
 bool MixedCcf::ContainsAddressed(uint64_t bucket, uint32_t fp,

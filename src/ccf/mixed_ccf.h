@@ -33,9 +33,6 @@ class MixedCcf : public CcfBase {
   static Result<std::unique_ptr<ConditionalCuckooFilter>> Make(
       const CcfConfig& config);
 
-  Status Insert(uint64_t key, std::span<const uint64_t> attrs) override;
-  bool ContainsKey(uint64_t key) const override;
-  bool Contains(uint64_t key, const Predicate& pred) const override;
   bool ContainsAddressed(uint64_t bucket, uint32_t fp,
                          const Predicate& pred) const override;
   bool ContainsAddressedExcluding(
@@ -67,7 +64,8 @@ class MixedCcf : public CcfBase {
                        std::span<const uint64_t> attrs,
                        uint64_t payload) override;
   Status InsertAddressed(const BucketPair& pair, uint32_t fp,
-                         std::span<const uint64_t> attrs) override;
+                         std::span<const uint64_t> attrs, uint64_t payload,
+                         ChainCursors* cursors) override;
   void SaveExtras(ByteWriter* writer) const override;
   Status LoadExtras(ByteReader* reader) override;
 

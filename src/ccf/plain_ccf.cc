@@ -20,30 +20,15 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> PlainCcf::Make(
       new PlainCcf(config, std::move(table)));
 }
 
-Status PlainCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
-  if (static_cast<int>(attrs.size()) != config_.num_attrs) {
-    return Status::Invalid("attribute count does not match schema");
-  }
-  EnsureTableUnique();
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  BucketPair pair = PairOf(bucket, fp);
-  // Packed-compare scalar fast path (opt-in via
-  // CcfConfig::reproducible_scalar = false); falls through to the full
-  // addressed insertion when displacement or chain/conversion work is
-  // needed.
-  if (ScalarInsertFast(pair, fp, attrs)) return Status::OK();
-  return InsertAddressed(pair, fp, attrs);
-}
-
 Status PlainCcf::InsertAddressed(const BucketPair& pair, uint32_t fp,
-                                 std::span<const uint64_t> attrs) {
+                                 std::span<const uint64_t> attrs,
+                                 uint64_t /*payload*/,
+                                 ChainCursors* /*cursors*/) {
   // Collapse duplicate (κ, α) rows.
-  for (const auto& [b, s] : SlotsWithFp(pair, fp)) {
-    if (codec_.EqualsStored(*table_, b, s, /*base=*/0, attrs)) {
-      return Status::OK();
-    }
+  if (ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
+        return codec_.EqualsStored(*table_, b, s, /*base=*/0, attrs);
+      }).second) {
+    return Status::OK();
   }
 
   bool placed = PlaceWithKicks(pair, fp, [&](uint64_t b, int s) {
@@ -108,20 +93,6 @@ bool PlainCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   table_->PutSlot(free_bucket, free_slot, fp, packed);
   ++num_rows_;
   return true;
-}
-
-bool PlainCcf::ContainsKey(uint64_t key) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  return CountFpInPair(PairOf(bucket, fp), fp) > 0;
-}
-
-bool PlainCcf::Contains(uint64_t key, const Predicate& pred) const {
-  uint64_t bucket;
-  uint32_t fp;
-  KeyAddress(key, &bucket, &fp);
-  return ContainsAddressed(bucket, fp, pred);
 }
 
 bool PlainCcf::ContainsAddressed(uint64_t bucket, uint32_t fp,

@@ -18,9 +18,6 @@ class PlainCcf : public CcfBase {
   static Result<std::unique_ptr<ConditionalCuckooFilter>> Make(
       const CcfConfig& config);
 
-  Status Insert(uint64_t key, std::span<const uint64_t> attrs) override;
-  bool ContainsKey(uint64_t key) const override;
-  bool Contains(uint64_t key, const Predicate& pred) const override;
   bool ContainsAddressed(uint64_t bucket, uint32_t fp,
                          const Predicate& pred) const override;
   bool ContainsAddressedExcluding(
@@ -46,7 +43,8 @@ class PlainCcf : public CcfBase {
                        std::span<const uint64_t> attrs,
                        uint64_t payload) override;
   Status InsertAddressed(const BucketPair& pair, uint32_t fp,
-                         std::span<const uint64_t> attrs) override;
+                         std::span<const uint64_t> attrs, uint64_t payload,
+                         ChainCursors* cursors) override;
 
  private:
   PlainCcf(CcfConfig config, BucketTable table);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "ccf/chained_ccf.h"
 #include "ccf/sharded_ccf.h"
 
 namespace ccf {
@@ -69,10 +70,14 @@ struct SketchRows {
   std::vector<uint64_t> keys;
   std::vector<uint64_t> flat_attrs;  // row-major, keys.size() * num_attrs
   std::vector<uint64_t> distinct_dupes_per_key;
+  uint64_t num_dropped = 0;  // exact duplicate rows left out
 };
 
+// With `drop_duplicates`, later exact duplicates (same key, same attribute
+// values) are left out and the rest keep their first-occurrence order.
 Result<SketchRows> ExtractRows(const TableData& table,
-                               const std::optional<RangeBinner>& binner) {
+                               const std::optional<RangeBinner>& binner,
+                               bool drop_duplicates) {
   SketchRows rows;
   CCF_ASSIGN_OR_RETURN(const std::vector<uint64_t>* key_col,
                        table.table.column(table.spec.key_column));
@@ -82,45 +87,99 @@ Result<SketchRows> ExtractRows(const TableData& table,
                          table.table.column(col));
     attr_cols.push_back(c);
   }
-  uint64_t n = key_col->size();
+  const uint64_t n = key_col->size();
+  const size_t num_attrs = attr_cols.size();
+  if (n >> 32 != 0) return Status::Invalid("ExtractRows: over 2^32 rows");
   rows.keys.reserve(n);
-  rows.flat_attrs.reserve(n * attr_cols.size());
-  bool has_year = false;
-  size_t year_idx = 0;
-  for (size_t i = 0; i < table.spec.predicate_columns.size(); ++i) {
-    if (table.spec.predicate_columns[i] == "production_year") {
-      has_year = true;
-      year_idx = i;
+  rows.flat_attrs.reserve(n * num_attrs);
+  const auto& columns = table.spec.predicate_columns;
+  const size_t year_idx =
+      binner.has_value()
+          ? std::find(columns.begin(), columns.end(), "production_year") -
+                columns.begin()
+          : columns.size();
+  // One grouping pass serves both §8 sizing (distinct attribute vectors per
+  // key) and the duplicate drop. Records (key, signature << 32 | row) are
+  // counting-sorted into 2^16 bins by a hash of the key — one scatter pass,
+  // no second buffer — and each bin is then sorted by (key, signature,
+  // row); a comparison sort of all records cost 5x more on cast_info.
+  struct RowRec {
+    uint64_t key;
+    uint64_t sig_row;
+    bool operator<(const RowRec& o) const {
+      return key != o.key ? key < o.key : sig_row < o.sig_row;
     }
-  }
-  // Per-key distinct attribute-vector counts for §8 sizing: collect
-  // (key, row signature) pairs and sort/dedupe instead of a map of sets —
-  // two flat arrays and one sort versus n hash-map node allocations. The
-  // signature is the same FNV mix as before, so counts are identical
-  // (DuplicateProfile::FromCounts is order-independent).
-  std::vector<std::pair<uint64_t, uint64_t>> key_sigs;
-  key_sigs.reserve(n);
+  };
+  constexpr int kBinBits = 16;
+  auto bin_of = [](uint64_t key) {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                               (64 - kBinBits));
+  };
+  std::vector<size_t> bin_end((size_t{1} << kBinBits) + 1, 0);
+  for (uint64_t key : *key_col) ++bin_end[bin_of(key) + 1];
+  for (size_t b = 1; b < bin_end.size(); ++b) bin_end[b] += bin_end[b - 1];
+  std::vector<size_t> fill(bin_end.begin(), bin_end.end() - 1);
+  std::vector<RowRec> recs(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t sig = 0xcbf29ce484222325ull;
-    for (size_t a = 0; a < attr_cols.size(); ++a) {
+    for (size_t a = 0; a < num_attrs; ++a) {
       uint64_t v = (*attr_cols[a])[i];
-      if (has_year && a == year_idx && binner.has_value()) {
-        v = binner->BinOf(static_cast<int64_t>(v));
-      }
+      if (a == year_idx) v = binner->BinOf(static_cast<int64_t>(v));
       rows.flat_attrs.push_back(v);
       sig = (sig ^ v) * 0x100000001b3ull;
     }
-    rows.keys.push_back((*key_col)[i]);
-    key_sigs.emplace_back(rows.keys.back(), sig);
+    const uint64_t key = (*key_col)[i];
+    rows.keys.push_back(key);
+    recs[fill[bin_of(key)]++] = {key, (sig >> 32 << 32) | i};
   }
-  std::sort(key_sigs.begin(), key_sigs.end());
-  key_sigs.erase(std::unique(key_sigs.begin(), key_sigs.end()),
-                 key_sigs.end());
-  for (size_t i = 0; i < key_sigs.size();) {
-    size_t j = i;
-    while (j < key_sigs.size() && key_sigs[j].first == key_sigs[i].first) ++j;
-    rows.distinct_dupes_per_key.push_back(j - i);
-    i = j;
+  for (size_t b = 0; b + 1 < bin_end.size(); ++b) {
+    std::sort(recs.begin() + static_cast<ptrdiff_t>(bin_end[b]),
+              recs.begin() + static_cast<ptrdiff_t>(bin_end[b + 1]));
+  }
+  // A row is a duplicate when its values equal those of an earlier
+  // distinct row of its key with the same signature — compared value by
+  // value, since the signature can collide.
+  auto row_attrs = [&](uint64_t row) {
+    return rows.flat_attrs.begin() + static_cast<ptrdiff_t>(row * num_attrs);
+  };
+  std::vector<bool> dropped(drop_duplicates ? n : 0);
+  std::vector<uint64_t> run_distinct;
+  for (size_t i = 0; i < recs.size();) {
+    size_t end = i;
+    while (end < recs.size() && recs[end].key == recs[i].key) ++end;
+    uint64_t key_distinct = 0;
+    for (size_t j = i; j < end; ++j) {
+      if (j == i || recs[j].sig_row >> 32 != recs[j - 1].sig_row >> 32) {
+        run_distinct.clear();
+      }
+      const uint64_t row = recs[j].sig_row & 0xffffffffu;
+      bool seen = std::any_of(
+          run_distinct.begin(), run_distinct.end(), [&](uint64_t first) {
+            return std::equal(row_attrs(first), row_attrs(first) + num_attrs,
+                              row_attrs(row));
+          });
+      if (!seen) {
+        run_distinct.push_back(row);
+        ++key_distinct;
+      } else if (drop_duplicates) {
+        dropped[row] = true;
+      }
+    }
+    rows.distinct_dupes_per_key.push_back(key_distinct);
+    i = end;
+  }
+  if (drop_duplicates) {
+    // Compact in place: no second copy of the rows.
+    uint64_t kept = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+      if (dropped[i]) continue;
+      rows.keys[kept] = rows.keys[i];
+      std::copy(row_attrs(i), row_attrs(i) + num_attrs, row_attrs(kept));
+      ++kept;
+    }
+    rows.num_dropped = n - kept;
+    rows.keys.resize(kept);
+    rows.flat_attrs.resize(kept * num_attrs);
   }
   return rows;
 }
@@ -140,8 +199,14 @@ Result<BuiltCcf> BuildCcf(const TableData& table,
     }
   }
 
-  CCF_ASSIGN_OR_RETURN(SketchRows rows,
-                       ExtractRows(table, built.year_binner));
+  // Bloom and Mixed count folded rows in num_rows(), and so does a sharded
+  // row log: only unsharded Plain and Chained builds drop duplicates.
+  const bool drop_duplicates =
+      params.num_shards <= 1 && (params.variant == CcfVariant::kPlain ||
+                                 params.variant == CcfVariant::kChained);
+  CCF_ASSIGN_OR_RETURN(
+      SketchRows rows,
+      ExtractRows(table, built.year_binner, drop_duplicates));
 
   CcfConfig config;
   config.key_fp_bits = params.key_fp_bits;
@@ -154,7 +219,6 @@ Result<BuiltCcf> BuildCcf(const TableData& table,
   config.optimize_bloom_hashes = params.optimize_bloom_hashes;
   config.salt = params.salt;
   config.slots_per_bucket = params.slots_per_bucket;
-  config.reproducible_scalar = params.reproducible_scalar;
 
   DuplicateProfile profile = DuplicateProfile::FromCounts(
       rows.distinct_dupes_per_key, config.max_dupes, config.max_chain);
@@ -264,8 +328,8 @@ Result<BuiltCcf> BuildCcf(const TableData& table,
       // The CRUD acceptance gate: compact every shard, then prove each
       // shard's table serializes bit-identical to a from-scratch batched
       // build of its surviving rows at the same geometry. The build
-      // history — incremental commits, churn, reclamation residue,
-      // mid-build resizes — must be unobservable.
+      // history — incremental commits, churn and the residue its erases
+      // left in the tables, mid-build resizes — must be unobservable.
       CCF_RETURN_NOT_OK(sharded->Compact());
       const size_t num_attrs = static_cast<size_t>(config.num_attrs);
       const int num_shards = sharded->num_shards();
@@ -307,47 +371,36 @@ Result<BuiltCcf> BuildCcf(const TableData& table,
   // The hash memo carries each row's salt-keyed key hash across doubling
   // rebuilds: attempt 0 fills it during the batched address pass, and every
   // retry re-masks the cached hashes instead of re-hashing the table.
-  std::vector<uint64_t> hash_memo;
-  const size_t num_attrs = static_cast<size_t>(config.num_attrs);
   Status last_error = Status::OK();
-  for (int attempt = 0; attempt <= params.max_rebuilds; ++attempt) {
-    bool ok = true;
-    CCF_ASSIGN_OR_RETURN(built.filter,
-                         ConditionalCuckooFilter::Make(params.variant,
-                                                       config));
-    if (params.batch_build) {
-      Status st =
-          built.filter->InsertBatch(rows.keys, rows.flat_attrs, &hash_memo);
-      if (!st.ok()) {
-        last_error = std::move(st);
-        ok = false;
+  auto build_from = [&](const SketchRows& from, CcfConfig geometry) {
+    std::vector<uint64_t> hash_memo;
+    for (int attempt = 0; attempt <= params.max_rebuilds; ++attempt) {
+      CCF_ASSIGN_OR_RETURN(
+          built.filter, ConditionalCuckooFilter::Make(params.variant,
+                                                      geometry));
+      last_error =
+          built.filter->InsertBatch(from.keys, from.flat_attrs, &hash_memo);
+      if (last_error.ok()) {
+        built.rebuilds = attempt;
+        return Status::OK();
       }
-    } else {
-      // Row-at-a-time reference path: placement order (hence slot
-      // assignment and FP-level outputs) reproduces pre-batch builds
-      // exactly; reproduction tooling pins this mode.
-      for (size_t i = 0; i < rows.keys.size(); ++i) {
-        Status st = built.filter->Insert(
-            rows.keys[i],
-            std::span<const uint64_t>(
-                rows.flat_attrs.data() + i * num_attrs, num_attrs));
-        if (!st.ok()) {
-          last_error = std::move(st);
-          ok = false;
-          break;
-        }
-      }
+      geometry.num_buckets *= 2;  // §4.1's resize rule
     }
-    if (ok) {
-      built.rebuilds = attempt;
-      return built;
-    }
-    config.num_buckets *= 2;  // §4.1's resize rule
+    return Status::CapacityError(
+        "CCF for table '" + table.spec.name + "' failed after " +
+        std::to_string(params.max_rebuilds) + " rebuilds: " +
+        last_error.message());
+  };
+  CCF_RETURN_NOT_OK(build_from(rows, config));
+  if (rows.num_dropped > 0 && params.variant == CcfVariant::kChained &&
+      static_cast<const ChainedCcf&>(*built.filter).num_overflow_rows() > 0) {
+    // Each dropped copy of a row that overflowed its chain would have been
+    // counted once more: rebuild from every row to keep that count.
+    CCF_ASSIGN_OR_RETURN(rows, ExtractRows(table, built.year_binner,
+                                           /*drop_duplicates=*/false));
+    CCF_RETURN_NOT_OK(build_from(rows, config));
   }
-  return Status::CapacityError(
-      "CCF for table '" + table.spec.name + "' failed after " +
-      std::to_string(params.max_rebuilds) + " rebuilds: " +
-      last_error.message());
+  return built;
 }
 
 Result<std::vector<BuiltCcf>> BuildAllCcfs(const ImdbDataset& dataset,

@@ -40,20 +40,6 @@ struct CcfBuildParams {
   /// transparent online resizes (ShardedCcfOptions::max_auto_resizes), so a
   /// single overloaded shard doubles alone while the rest keep serving.
   int max_rebuilds = 5;
-  /// Scalar (batch_build = false) insertion keeps the historical
-  /// per-attribute path when true, pinning pre-batch builds bit-for-bit
-  /// (`ccf_joblight --build scalar` relies on it). false opts into the
-  /// packed-compare scalar fast path (single-word dupe compare + one-store
-  /// slot writes); see CcfConfig::reproducible_scalar.
-  bool reproducible_scalar = true;
-  /// Build through the batched two-wave InsertBatch pipeline, with each
-  /// doubling rebuild re-placing rows from the hash memo instead of
-  /// re-hashing the table. false pins the row-at-a-time scalar insertion
-  /// order: slot assignment (hence FP-level outputs) then reproduces
-  /// pre-batch builds bit-for-bit, which figure-reproduction tools rely on.
-  /// Sharded builds (num_shards > 1) always take the batched per-shard
-  /// path.
-  bool batch_build = true;
   /// Shards per filter (> 1 builds a ShardedCcf with parallel insert and
   /// the same query answers as a well-sized single filter of that shard's
   /// rows; 1 keeps the unsharded filter).
@@ -77,9 +63,10 @@ struct CcfBuildParams {
   /// lifecycle across subsequent chunks — BufferWrite, then BufferUpdate to
   /// a second attribute vector, then BufferErase — with leftovers
   /// flush-erased after the last chunk, so the surviving row set is exactly
-  /// the dataset rows. Exercises tombstone commits, slot reclamation, and
-  /// watermark compaction on the serving path. Requires live_write_batch >
-  /// 0; ignored otherwise.
+  /// the dataset rows. Exercises erase commits (an erase marks its log row
+  /// dead and leaves the table entry as one-sided residue until a rebuild)
+  /// and watermark compaction on the serving path. Requires
+  /// live_write_batch > 0; ignored otherwise.
   uint64_t live_churn_rows = 0;
   /// ShardedCcfOptions::compact_watermark for sharded builds: dead-row
   /// fraction of a shard's retained log at which a commit compacts the
@@ -89,7 +76,7 @@ struct CcfBuildParams {
   /// that the table serializes bit-identical to a from-scratch batched
   /// build of the shard's surviving rows at its current geometry —
   /// Status::Internal on any divergence. The acceptance gate for the CRUD
-  /// path: whatever erase residue the best-effort reclamation left behind,
+  /// path: whatever residue the committed erases left in the tables,
   /// compaction must erase the build history completely.
   bool live_differential_check = false;
 };
@@ -124,9 +111,11 @@ struct BuiltCcf {
                    std::span<bool> out) const;
 };
 
-/// Builds the CCF for one table. Fails with CapacityError if the variant
-/// cannot absorb the table even after max_rebuilds resizes (the paper's
-/// Plain rows).
+/// Builds the CCF for one table through the insert engine (InsertBatch);
+/// unsharded Plain and Chained builds first leave out later exact duplicate
+/// rows, which both variants collapse without counting. Fails with
+/// CapacityError if the variant cannot absorb the table even after
+/// max_rebuilds resizes (the paper's Plain rows).
 Result<BuiltCcf> BuildCcf(const TableData& table,
                           const CcfBuildParams& params);
 

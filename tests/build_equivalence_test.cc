@@ -102,38 +102,41 @@ TEST_P(BuildEquivalenceTest, BatchBuildMatchesScalarBuild) {
 }
 
 TEST_P(BuildEquivalenceTest, PackedScalarInsertMatchesReproduciblePath) {
-  // The packed-compare scalar fast path (config.reproducible_scalar =
-  // false) reuses the wave-1 displacement-free placement row-at-a-time:
-  // dedupe decisions and free-slot choices are the same as the historical
-  // per-attribute path, so on standard geometries the two builds agree
-  // structurally and on every inserted row. (The flag exists so the
-  // historical path stays pinned for reproduction tooling.)
+  // Scalar Insert is the packed wave-1 step (single-word dupe compare +
+  // PutSlot free-slot store) followed by the full addressed insertion. Its
+  // dedupe decisions and free-slot choices are those of the historical
+  // per-attribute path, so on standard geometries the blob is the one that
+  // path built: these FNV-64 digests were captured from it.
   Rows rows = MakeRows(12000, 67);
   CcfConfig config = EquivConfig(4096, 11);
-  auto reproducible =
-      ConditionalCuckooFilter::Make(GetParam(), config).ValueOrDie();
+  auto scalar = ConditionalCuckooFilter::Make(GetParam(), config).ValueOrDie();
   for (size_t i = 0; i < rows.keys.size(); ++i) {
-    ASSERT_TRUE(reproducible->Insert(rows.keys[i], RowAttrs(rows, i)).ok());
+    ASSERT_TRUE(scalar->Insert(rows.keys[i], RowAttrs(rows, i)).ok());
   }
-
-  CcfConfig packed_config = config;
-  packed_config.reproducible_scalar = false;
-  auto packed =
-      ConditionalCuckooFilter::Make(GetParam(), packed_config).ValueOrDie();
   for (size_t i = 0; i < rows.keys.size(); ++i) {
-    ASSERT_TRUE(packed->Insert(rows.keys[i], RowAttrs(rows, i)).ok());
-  }
-
-  EXPECT_EQ(packed->num_entries(), reproducible->num_entries());
-  EXPECT_EQ(packed->num_rows(), reproducible->num_rows());
-  EXPECT_EQ(packed->SizeInBits(), reproducible->SizeInBits());
-  for (size_t i = 0; i < rows.keys.size(); ++i) {
-    ASSERT_TRUE(packed->ContainsRow(rows.keys[i], RowAttrs(rows, i)))
+    ASSERT_TRUE(scalar->ContainsRow(rows.keys[i], RowAttrs(rows, i)))
         << "row " << i;
   }
-  // On these geometries the fast path's decisions match the historical
-  // path exactly, so the builds are bit-identical.
-  EXPECT_EQ(packed->Serialize(), reproducible->Serialize());
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (unsigned char c : scalar->Serialize()) {
+    digest = (digest ^ c) * 0x100000001b3ull;
+  }
+  uint64_t reproducible_digest = 0;
+  switch (GetParam()) {
+    case CcfVariant::kPlain:
+      reproducible_digest = 0x67fb3e50e4012918ull;
+      break;
+    case CcfVariant::kChained:
+      reproducible_digest = 0xbb2e1d91efa27f0bull;
+      break;
+    case CcfVariant::kBloom:
+      reproducible_digest = 0x99db893d60c0522eull;
+      break;
+    case CcfVariant::kMixed:
+      reproducible_digest = 0x77c0429b87fc74a0ull;
+      break;
+  }
+  EXPECT_EQ(digest, reproducible_digest);
 }
 
 TEST_P(BuildEquivalenceTest, InsertBatchIsDeterministic) {

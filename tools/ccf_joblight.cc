@@ -6,18 +6,14 @@
 //   ccf_joblight [--scale N] [--variant bloom|mixed|chained]
 //                [--attr-bits B] [--key-bits B] [--bloom-bits B]
 //                [--seed S] [--per-instance]
-//                [--build scalar|scalar-packed|batch]
 //                [--live-writes] [--shards N] [--write-batch N]
 //
-// --build defaults to scalar: the row-at-a-time insertion order makes slot
-// assignment — and therefore the FP-level RF/FPR numbers printed here —
-// reproducible run-over-run and commit-over-commit. --build batch uses the
-// production bulk-build pipeline (same guarantees and entry counts;
-// placement order differs, so FP noise may shift in the last decimals).
-// --build scalar-packed keeps row-at-a-time insertion but opts into the
-// packed-compare fast path (CcfBuildParams::reproducible_scalar = false):
-// displacement-free rows dedupe via one word compare and land via one
-// field store.
+// Filters are built by BuildAllCcfs through the one batched insert engine
+// (ConditionalCuckooFilter::InsertBatch): Plain and Chained builds leave
+// out later exact duplicate rows first, and the chained walk resumes each
+// key's chain from a per-chain cursor instead of its first pair. The build
+// is deterministic, so slot assignment — and therefore the FP-level RF/FPR
+// numbers printed here — repeats run-over-run for a given seed.
 //
 // --live-writes builds each table's filter through the SERVING write path
 // instead of the offline bulk build: a sharded filter (default 8 shards,
@@ -31,12 +27,14 @@
 // --live-crud extends --live-writes (implying it) with the full CRUD
 // serving path: every commit chunk also pushes --churn transient rows
 // (default 1024, keys disjoint from the dataset) through an
-// insert → update → erase lifecycle, exercising tombstone commits, native
-// slot reclamation, and watermark-triggered log compaction. After the
-// build, each filter is differential-checked: Compact() then per-shard
-// byte-comparison against a from-scratch build of the surviving (dataset)
-// rows — the run aborts if any shard diverges, and the RF/FPR numbers
-// printed afterwards are therefore exactly the numbers of a clean build.
+// insert → update → erase lifecycle, exercising erase commits (a committed
+// erase marks its log rows dead and leaves the table entries as one-sided
+// residue, false positives only, until a rebuild) and watermark-triggered
+// log compaction. After the build, each filter is differential-checked:
+// Compact() then per-shard byte-comparison against a from-scratch build of
+// the surviving (dataset) rows — the run aborts if any shard diverges, and
+// the RF/FPR numbers printed afterwards are therefore exactly the numbers
+// of a clean build.
 // --multi-join switches to chain-plan execution: instead of the star
 // evaluation, each query with a production_year range runs as a pipelined
 // semijoin chain — a RangeCcf over raw years (dyadic decomposition,
@@ -67,8 +65,6 @@ struct Options {
   int bloom_bits = 16;
   uint64_t seed = 7;
   bool per_instance = false;
-  bool batch_build = false;
-  bool reproducible_scalar = true;
   bool live_writes = false;
   bool live_crud = false;
   int shards = 8;
@@ -84,7 +80,6 @@ void PrintUsageAndExit(const char* argv0) {
                "usage: %s [--scale N] [--variant bloom|mixed|chained]\n"
                "          [--attr-bits B] [--key-bits B] [--bloom-bits B]\n"
                "          [--seed S] [--per-instance]\n"
-               "          [--build scalar|scalar-packed|batch]\n"
                "          [--live-writes] [--shards N] [--write-batch N]\n"
                "          [--live-crud] [--churn N]\n"
                "          [--multi-join] [--max-level L]\n",
@@ -162,18 +157,6 @@ ccf::Result<Options> Parse(int argc, char** argv) {
       long long n = std::atoll(v);
       if (n < 1) return ccf::Status::Invalid("--write-batch must be >= 1");
       opts.write_batch = static_cast<uint64_t>(n);
-    } else if (arg == "--build") {
-      CCF_ASSIGN_OR_RETURN(const char* v, next());
-      if (std::strcmp(v, "batch") == 0) {
-        opts.batch_build = true;
-      } else if (std::strcmp(v, "scalar") == 0) {
-        opts.batch_build = false;
-      } else if (std::strcmp(v, "scalar-packed") == 0) {
-        opts.batch_build = false;
-        opts.reproducible_scalar = false;
-      } else {
-        return ccf::Status::Invalid("unknown build mode: " + std::string(v));
-      }
     } else {
       return ccf::Status::Invalid("unknown flag: " + arg);
     }
@@ -291,8 +274,6 @@ int main(int argc, char** argv) {
   params.attr_fp_bits = opts.attr_bits;
   params.key_fp_bits = opts.key_bits;
   params.bloom_bits = opts.bloom_bits;
-  params.batch_build = opts.batch_build;
-  params.reproducible_scalar = opts.reproducible_scalar;
   if (opts.live_writes) {
     params.num_shards = opts.shards;
     params.live_write_batch = opts.write_batch;
