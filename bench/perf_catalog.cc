@@ -4,13 +4,13 @@
 // hot filters absorb most traffic over a long cold tail.
 //
 // Rows:
-//   * BM_CatalogZipfLookup/T   — T caller threads through BatchedLookup;
-//     aggregate keys/s across callers plus promotion/eviction/batching
+//   * BM_CatalogZipfLookup/T   — T caller threads through the catalog's
+//     LookupBatch; aggregate keys/s across callers plus promotion/eviction
 //     counters.
 //   * BM_CatalogCopySingleCaller — the pre-catalog baseline: the whole
 //     fleet copy-deserialized up front, one caller serving the same Zipf
-//     stream via direct LookupBatch. The acceptance bar: cross-request
-//     batching must not lose to this.
+//     stream via direct LookupBatch. The catalog's single-caller row must
+//     not lose to this.
 //   * BM_CatalogZipfLatency    — per-request p50/p99/p999 nanoseconds of
 //     the single-caller catalog path (keys_per_second carried too).
 //   * BM_CatalogTieredChurn    — hot budget ~1/8 of the fleet: every
@@ -172,8 +172,6 @@ void SetCatalogCounters(benchmark::State& state, const FilterCatalog& c) {
       benchmark::Counter(static_cast<double>(s.promotions));
   state.counters["evictions"] =
       benchmark::Counter(static_cast<double>(s.evictions));
-  state.counters["batched"] =
-      benchmark::Counter(static_cast<double>(s.batched_requests));
   state.counters["table_mb"] =
       benchmark::Counter(static_cast<double>(c.hot_bytes()) / 1e6);
 }
@@ -196,8 +194,8 @@ void RunRequests(const CatalogFixture& f, FilterCatalog& catalog,
     }
     const auto t0 = std::chrono::steady_clock::now();
     catalog
-        .BatchedLookup(f.ids[slot], req_keys, &f.pred,
-                       std::span<bool>(out.get(), kRequestKeys))
+        .LookupBatch(f.ids[slot], req_keys, f.pred,
+                     std::span<bool>(out.get(), kRequestKeys))
         .Abort();
     if (samples != nullptr) {
       const auto t1 = std::chrono::steady_clock::now();
@@ -208,10 +206,10 @@ void RunRequests(const CatalogFixture& f, FilterCatalog& catalog,
   }
 }
 
-// T concurrent callers stream Zipf-routed requests through BatchedLookup
+// T concurrent callers stream Zipf-routed requests through LookupBatch
 // against one shared catalog (unlimited budget: the hot set stays hot, so
-// steady state measures serving and aggregation, not churn). keys/s is
-// aggregate across callers.
+// steady state measures serving, not churn). keys/s is aggregate across
+// callers.
 void BM_CatalogZipfLookup(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const CatalogFixture& f = Fixture();
@@ -245,8 +243,8 @@ BENCHMARK(BM_CatalogZipfLookup)
 // The pre-catalog baseline: every filter deserialized up front in copy
 // mode (full fleet resident, no tiering, no mmap), one caller issuing the
 // SAME Zipf request stream via direct 512-key LookupBatch calls — what
-// serving looked like before the catalog existed. Cross-request batching
-// on the hot set must not lose to this row.
+// serving looked like before the catalog existed. The catalog's hot set
+// must not lose to this row.
 void BM_CatalogCopySingleCaller(benchmark::State& state) {
   const CatalogFixture& f = Fixture();
   std::vector<std::unique_ptr<ConditionalCuckooFilter>> fleet;
@@ -283,9 +281,9 @@ void BM_CatalogCopySingleCaller(benchmark::State& state) {
 }
 BENCHMARK(BM_CatalogCopySingleCaller)->Unit(benchmark::kMillisecond);
 
-// Per-request latency percentiles of the single-caller catalog path (the
-// uncontended BatchedLookup resolves inline). keys/s covers the same timed
-// region, so the row is comparable with the threads=1 throughput row.
+// Per-request latency percentiles of the single-caller catalog path.
+// keys/s covers the same timed region, so the row is comparable with the
+// threads=1 throughput row.
 void BM_CatalogZipfLatency(benchmark::State& state) {
   const CatalogFixture& f = Fixture();
   auto catalog = MakeCatalog(f, CatalogOptions{});

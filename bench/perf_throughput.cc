@@ -878,12 +878,12 @@ BENCHMARK(BM_ShardedParallelBuild)->Arg(1)->Arg(2)->Arg(4)
 
 // Multi-caller sharded serving: T caller threads concurrently issue
 // 2048-key LookupBatch sub-batches over disjoint slices of the shared
-// probe stream against ONE sharded filter — the thread-per-core serving
-// shape the NUMA work targets. Epoch pins make concurrent readers safe;
-// keys/s is aggregate across callers (UseRealTime) and p99_ns is the 99th
-// percentile sub-batch latency pooled over every caller, so tail
-// inflation from cross-thread interference is visible next to the
-// single-caller BM_HotLookupBatchLatency row.
+// probe stream against ONE sharded filter, each resolving on its own
+// thread under the filter's one epoch domain (pins make concurrent
+// readers safe). keys/s is aggregate across callers (UseRealTime) and
+// p99_ns is the 99th percentile sub-batch latency pooled over every
+// caller, so tail inflation from cross-thread interference is visible
+// next to the single-caller BM_HotLookupBatchLatency row.
 void BM_ShardedParallelLookup(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const HotPathFixture& f = HotPath();

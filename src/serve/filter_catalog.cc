@@ -1,8 +1,5 @@
 #include "serve/filter_catalog.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "ccf/compressed_ccf.h"
@@ -12,47 +9,7 @@
 
 namespace ccf {
 
-namespace {
-
-/// Structural predicate equality, used to group batched requests that can
-/// share one broadcast LookupBatch call. Term order matters (a predicate
-/// is a conjunction, so order is semantically irrelevant but callers that
-/// built the predicate the same way produce the same order — good enough
-/// for aggregation, never for correctness).
-bool PredicatesEqual(const Predicate* a, const Predicate* b) {
-  if (a == b) return true;
-  if (a == nullptr || b == nullptr) return false;
-  const auto& ta = a->terms();
-  const auto& tb = b->terms();
-  if (ta.size() != tb.size()) return false;
-  for (size_t i = 0; i < ta.size(); ++i) {
-    if (ta[i].attr_index != tb[i].attr_index) return false;
-    if (ta[i].values != tb[i].values) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-FilterCatalog::FilterCatalog(CatalogOptions options)
-    : options_(options) {
-  if (options_.enable_batcher) {
-    ring_ = std::make_unique<SpscRing<BatchRequest*>>(
-        std::max<size_t>(2, options_.batcher_ring_capacity));
-    batcher_ = std::thread([this] { BatcherLoop(); });
-  }
-}
-
-FilterCatalog::~FilterCatalog() {
-  if (batcher_.joinable()) {
-    stop_.store(true, std::memory_order_release);
-    doorbell_.fetch_add(1, std::memory_order_release);
-    doorbell_.notify_all();
-    batcher_.join();
-  }
-  // ~EpochDomain frees every retired filter; live ones die with their
-  // TableHandle members.
-}
+FilterCatalog::FilterCatalog(CatalogOptions options) : options_(options) {}
 
 Result<FilterCatalog::Entry*> FilterCatalog::AddEntry(const std::string& id) {
   std::unique_lock lock(map_mu_);
@@ -184,8 +141,8 @@ Status FilterCatalog::PrepareDemotionLocked(Entry& e,
   return Status::OK();
 }
 
-Status FilterCatalog::ResolveInline(Entry& e, std::span<const uint64_t> keys,
-                                    const Predicate* pred, bool* out) {
+Status FilterCatalog::ResolveBatch(Entry& e, std::span<const uint64_t> keys,
+                                   const Predicate* pred, bool* out) {
   bool promoted = false;
   {
     // The pin must cover both the Load/promotion and the probe: eviction
@@ -214,8 +171,7 @@ Status FilterCatalog::LookupBatch(const std::string& id,
   }
   Entry* e = FindEntry(id);
   if (e == nullptr) return Status::KeyNotFound("no catalog entry: " + id);
-  num_inline_.fetch_add(1, std::memory_order_relaxed);
-  return ResolveInline(*e, keys, &pred, out.data());
+  return ResolveBatch(*e, keys, &pred, out.data());
 }
 
 Status FilterCatalog::ContainsKeyBatch(const std::string& id,
@@ -226,8 +182,7 @@ Status FilterCatalog::ContainsKeyBatch(const std::string& id,
   }
   Entry* e = FindEntry(id);
   if (e == nullptr) return Status::KeyNotFound("no catalog entry: " + id);
-  num_inline_.fetch_add(1, std::memory_order_relaxed);
-  return ResolveInline(*e, keys, nullptr, out.data());
+  return ResolveBatch(*e, keys, nullptr, out.data());
 }
 
 Status FilterCatalog::LookupRangeBatch(const std::string& id,
@@ -240,7 +195,6 @@ Status FilterCatalog::LookupRangeBatch(const std::string& id,
   }
   Entry* e = FindEntry(id);
   if (e == nullptr) return Status::KeyNotFound("no catalog entry: " + id);
-  num_inline_.fetch_add(1, std::memory_order_relaxed);
   bool promoted = false;
   Status st = [&]() -> Status {
     EpochDomain::Guard guard = domain_.Pin();
@@ -255,49 +209,6 @@ Status FilterCatalog::LookupRangeBatch(const std::string& id,
     return range->ContainsInRangeBatch(keys, pred, out);
   }();
   if (promoted) EnforceBudget();
-  return st;
-}
-
-Status FilterCatalog::BatchedLookup(const std::string& id,
-                                    std::span<const uint64_t> keys,
-                                    const Predicate* pred,
-                                    std::span<bool> out) {
-  if (out.size() != keys.size()) {
-    return Status::Invalid("output size must match key count");
-  }
-  Entry* e = FindEntry(id);
-  if (e == nullptr) return Status::KeyNotFound("no catalog entry: " + id);
-
-  int prev = active_callers_.fetch_add(1, std::memory_order_acq_rel);
-  Status st;
-  if (ring_ == nullptr || prev == 0) {
-    // Uncontended (or batcher off): aggregation has nothing to gain, skip
-    // the handoff entirely.
-    num_inline_.fetch_add(1, std::memory_order_relaxed);
-    st = ResolveInline(*e, keys, pred, out.data());
-  } else {
-    BatchRequest req;
-    req.entry = e;
-    req.keys = keys;
-    req.pred = pred;
-    req.out = out.data();
-    bool pushed = false;
-    {
-      std::lock_guard lock(producer_mu_);
-      pushed = ring_->TryPush(&req);
-    }
-    if (!pushed) {
-      num_inline_.fetch_add(1, std::memory_order_relaxed);
-      st = ResolveInline(*e, keys, pred, out.data());
-    } else {
-      doorbell_.fetch_add(1, std::memory_order_release);
-      doorbell_.notify_one();
-      req.state.wait(0, std::memory_order_acquire);
-      num_batched_.fetch_add(1, std::memory_order_relaxed);
-      st = req.status;
-    }
-  }
-  active_callers_.fetch_sub(1, std::memory_order_acq_rel);
   return st;
 }
 
@@ -345,7 +256,7 @@ Status FilterCatalog::InsertBatch(const std::string& id,
   }();
   // A write-side promotion or clone-grown publish can push the fleet over
   // budget just like a lookup-side promotion: sweep after releasing e->mu
-  // (mirrors ResolveInline/AddFilter) so a write-heavy workload can't
+  // (mirrors ResolveBatch/AddFilter) so a write-heavy workload can't
   // exceed hot_budget_bytes indefinitely.
   if (grew) EnforceBudget();
   return st;
@@ -416,124 +327,6 @@ void FilterCatalog::EnforceBudget() {
   }
 }
 
-void FilterCatalog::BatcherLoop() {
-  std::vector<BatchRequest*> batch;
-  batch.reserve(64);
-  while (true) {
-    uint64_t bell = doorbell_.load(std::memory_order_acquire);
-    if (stop_.load(std::memory_order_acquire)) break;
-
-    batch.clear();
-    BatchRequest* req = nullptr;
-    while (ring_->TryPop(&req)) batch.push_back(req);
-
-    if (batch.empty()) {
-      // Ring drained and nothing gathered: sleep until the next push (or
-      // shutdown) rings the bell.
-      doorbell_.wait(bell, std::memory_order_acquire);
-      continue;
-    }
-
-    if (options_.batcher_wait_us > 0) {
-      // Linger briefly so concurrent callers that are about to push land
-      // in THIS batch — that aggregation is the whole point.
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(options_.batcher_wait_us);
-      while (std::chrono::steady_clock::now() < deadline) {
-        if (ring_->TryPop(&req)) {
-          batch.push_back(req);
-          continue;
-        }
-        if (active_callers_.load(std::memory_order_acquire) <=
-            static_cast<int>(batch.size())) {
-          break;  // nobody else is en route
-        }
-        std::this_thread::yield();
-      }
-    }
-
-    ExecuteBatch(batch);
-  }
-
-  // Shutdown: resolve anything still parked so no caller waits forever.
-  batch.clear();
-  BatchRequest* req = nullptr;
-  while (ring_->TryPop(&req)) batch.push_back(req);
-  if (!batch.empty()) ExecuteBatch(batch);
-}
-
-void FilterCatalog::ExecuteBatch(std::vector<BatchRequest*>& batch) {
-  // Group by entry, then by structurally-equal predicate, with simple
-  // linear scans — batches are tens of requests, not thousands.
-  std::vector<bool> done(batch.size(), false);
-  std::vector<size_t> group;
-  std::vector<uint64_t> keys_scratch;
-  bool promoted_any = false;
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (done[i]) continue;
-    group.clear();
-    group.push_back(i);
-    for (size_t j = i + 1; j < batch.size(); ++j) {
-      if (done[j]) continue;
-      if (batch[j]->entry == batch[i]->entry &&
-          PredicatesEqual(batch[j]->pred, batch[i]->pred)) {
-        group.push_back(j);
-      }
-    }
-
-    Entry& e = *batch[i]->entry;
-    EpochDomain::Guard guard = domain_.Pin();
-    bool promoted = false;
-    Result<const ConditionalCuckooFilter*> hot =
-        HotFilter(e, guard, &promoted);
-    promoted_any |= promoted;
-    Status st;
-    if (!hot.ok()) {
-      st = hot.status();
-    } else {
-      const ConditionalCuckooFilter* f = *hot;
-      size_t total = 0;
-      for (size_t g : group) total += batch[g]->keys.size();
-      keys_scratch.clear();
-      keys_scratch.reserve(total);
-      for (size_t g : group) {
-        keys_scratch.insert(keys_scratch.end(), batch[g]->keys.begin(),
-                            batch[g]->keys.end());
-      }
-      // std::vector<bool> is bit-packed; probe into a flat buffer instead.
-      std::unique_ptr<bool[]> flat(new bool[total]());
-      std::span<bool> out_span(flat.get(), total);
-      if (batch[i]->pred != nullptr) {
-        st = f->LookupBatch(
-            keys_scratch,
-            std::span<const Predicate>(batch[i]->pred, 1), out_span);
-      } else {
-        f->ContainsKeyBatch(keys_scratch, out_span);
-      }
-      if (st.ok()) {
-        size_t off = 0;
-        for (size_t g : group) {
-          std::memcpy(batch[g]->out, flat.get() + off,
-                      batch[g]->keys.size() * sizeof(bool));
-          off += batch[g]->keys.size();
-        }
-      }
-    }
-    guard.Release();
-
-    for (size_t g : group) {
-      batch[g]->status = st;
-      done[g] = true;
-      batch[g]->state.store(1, std::memory_order_release);
-      batch[g]->state.notify_one();
-      // `batch[g]` is a caller stack frame: do not touch it past here.
-    }
-  }
-
-  if (promoted_any) EnforceBudget();
-}
-
 size_t FilterCatalog::num_entries() const {
   std::shared_lock lock(map_mu_);
   return entries_.size();
@@ -544,8 +337,6 @@ CatalogStats FilterCatalog::stats() const {
   s.promotions = num_promotions_.load(std::memory_order_relaxed);
   s.evictions = num_evictions_.load(std::memory_order_relaxed);
   s.alias_loads = num_alias_loads_.load(std::memory_order_relaxed);
-  s.batched_requests = num_batched_.load(std::memory_order_relaxed);
-  s.inline_requests = num_inline_.load(std::memory_order_relaxed);
   s.hot_bytes = hot_bytes_.load(std::memory_order_relaxed);
   return s;
 }

@@ -5,7 +5,7 @@
 // sketches instead of the single filter everything below this layer
 // assumes.
 //
-// Three mechanisms make the fleet cheap:
+// Two mechanisms make the fleet cheap:
 //
 //   * Zero-copy opens. File-backed entries are promoted by mmap'ing the
 //     serialized blob and alias-deserializing it (the loaded BucketTable's
@@ -22,12 +22,8 @@
 //     a reader pinned to a just-evicted filter keeps probing it safely
 //     until it unpins.
 //
-//   * Cross-request batch aggregation. A CatalogBatcher coalesces
-//     concurrent callers' probes of the same filter into one batched
-//     LookupBatch pass (which radix-clusters and prefetches internally),
-//     recovering batch-pipeline throughput that per-request batch sizes
-//     alone cannot reach. Handoff is a bounded SPSC ring with an inline
-//     fallback, so an uncontended caller pays (almost) nothing.
+// Every lookup resolves on its calling thread: one epoch pin, one batched
+// probe of the entry's filter.
 #ifndef CCF_SERVE_FILTER_CATALOG_H_
 #define CCF_SERVE_FILTER_CATALOG_H_
 
@@ -38,7 +34,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +41,6 @@
 #include "util/epoch.h"
 #include "util/file_io.h"
 #include "util/result.h"
-#include "util/spsc_ring.h"
 
 namespace ccf {
 
@@ -57,22 +51,9 @@ struct CatalogOptions {
   /// logical filter size (SizeInBits / 8); alias-mode entries are counted
   /// the same even though their residency is page-cache-backed.
   size_t hot_budget_bytes = 0;
-  /// Run the cross-request batcher worker. Off, BatchedLookup degrades to
-  /// the inline path (still correct, no aggregation).
-  bool enable_batcher = true;
-  /// Capacity of the batcher's request ring; a full ring falls back to
-  /// inline resolution, so this bounds queueing, never blocks.
-  size_t batcher_ring_capacity = 1024;
-  /// How long the batcher lingers after draining the ring, waiting for
-  /// more concurrent requests to aggregate before it resolves the batch.
-  /// 0 (the default) resolves immediately: the ring's natural backlog
-  /// while the worker drains a group already forms batches under
-  /// contention, and measured on contended Zipf fleets no-wait coalesces
-  /// MORE requests than lingering (the linger loop steals cycles the
-  /// callers need to produce the next requests). Set to tens of
-  /// microseconds only to force wider groups on trickle traffic, at an
-  /// added-latency cost.
-  int batcher_wait_us = 0;
+  /// Ignored: every lookup resolves on its calling thread. Kept only so
+  /// callers that still assign it compile.
+  bool enable_batcher = false;
 };
 
 /// Monotonic catalog counters (relaxed reads; consistent enough for tests
@@ -81,13 +62,11 @@ struct CatalogStats {
   uint64_t promotions = 0;
   uint64_t evictions = 0;
   uint64_t alias_loads = 0;
-  uint64_t batched_requests = 0;
-  uint64_t inline_requests = 0;
   size_t hot_bytes = 0;
 };
 
-/// \brief A concurrent id → filter catalog with zero-copy opens, hot/cold
-/// tiering under a byte budget, and cross-request batch aggregation.
+/// \brief A concurrent id → filter catalog with zero-copy opens and hot/cold
+/// tiering under a byte budget.
 ///
 /// Thread safety: all public methods are safe to call concurrently.
 /// Entries are never removed (the id set is monotonic), which is what
@@ -103,7 +82,6 @@ struct CatalogStats {
 class FilterCatalog {
  public:
   explicit FilterCatalog(CatalogOptions options = {});
-  ~FilterCatalog();
 
   FilterCatalog(const FilterCatalog&) = delete;
   FilterCatalog& operator=(const FilterCatalog&) = delete;
@@ -139,15 +117,6 @@ class FilterCatalog {
                           std::span<const uint64_t> keys, uint64_t lo,
                           uint64_t hi, const Predicate& other,
                           std::span<bool> out);
-
-  /// LookupBatch through the cross-request batcher: concurrent callers
-  /// probing the same filter are coalesced into one batch-pipeline pass
-  /// and each receives its own slice of the results — byte-identical to
-  /// the inline path. Blocks the caller until its slice is ready. With
-  /// the batcher off, uncontended, or the ring full, resolves inline.
-  /// `pred` may be null for key-only membership.
-  Status BatchedLookup(const std::string& id, std::span<const uint64_t> keys,
-                       const Predicate* pred, std::span<bool> out);
 
   /// Applies a row batch to entry `id` without blocking its readers.
   /// Sharded entries stage through their write-buffer overlay (pair with
@@ -191,18 +160,6 @@ class FilterCatalog {
     std::atomic<uint32_t> referenced{0};
   };
 
-  /// A caller's parked request while the batcher owns it. Lives on the
-  /// caller's stack; `state` flips 0 → 1 exactly once, after which the
-  /// batcher never touches the request again.
-  struct BatchRequest {
-    Entry* entry = nullptr;
-    std::span<const uint64_t> keys;
-    const Predicate* pred = nullptr;  // null = key-only
-    bool* out = nullptr;
-    Status status;
-    std::atomic<int> state{0};
-  };
-
   Entry* FindEntry(const std::string& id) const;
   Result<Entry*> AddEntry(const std::string& id);
 
@@ -226,15 +183,10 @@ class FilterCatalog {
   /// Clock eviction until hot_bytes_ is back under the budget.
   void EnforceBudget();
 
-  /// The inline resolution path shared by LookupBatch/ContainsKeyBatch
-  /// and the batcher's fallback.
-  Status ResolveInline(Entry& e, std::span<const uint64_t> keys,
-                       const Predicate* pred, bool* out);
-
-  /// Batcher worker: drain ring → group by entry and predicate → one
-  /// LookupBatch per group → scatter per-caller slices → wake callers.
-  void BatcherLoop();
-  void ExecuteBatch(std::vector<BatchRequest*>& batch);
+  /// The resolution path shared by LookupBatch (`pred` set) and
+  /// ContainsKeyBatch (`pred` null).
+  Status ResolveBatch(Entry& e, std::span<const uint64_t> keys,
+                      const Predicate* pred, bool* out);
 
   CatalogOptions options_;
   mutable EpochDomain domain_;
@@ -251,19 +203,6 @@ class FilterCatalog {
   std::atomic<uint64_t> num_promotions_{0};
   std::atomic<uint64_t> num_evictions_{0};
   std::atomic<uint64_t> num_alias_loads_{0};
-  std::atomic<uint64_t> num_batched_{0};
-  std::atomic<uint64_t> num_inline_{0};
-
-  // --- Batcher -------------------------------------------------------------
-  std::mutex producer_mu_;  // folds many callers into the SPSC contract
-  std::unique_ptr<SpscRing<BatchRequest*>> ring_;
-  /// Incremented per push; the worker sleeps on it when the ring drains.
-  std::atomic<uint64_t> doorbell_{0};
-  /// Callers currently inside BatchedLookup: the uncontended (== 1) case
-  /// skips the ring entirely.
-  std::atomic<int> active_callers_{0};
-  std::atomic<bool> stop_{false};
-  std::thread batcher_;
 };
 
 }  // namespace ccf

@@ -36,7 +36,6 @@ NumaTopology SingleNodeFallback() {
   NumaTopology topo;
   topo.num_nodes = 1;
   int cpus = HardwareCpuCount();
-  topo.cpu_to_node.assign(static_cast<size_t>(cpus), 0);
   topo.node_cpus.resize(1);
   for (int c = 0; c < cpus; ++c) topo.node_cpus[0].push_back(c);
   topo.from_sysfs = false;
@@ -95,13 +94,12 @@ NumaTopology DetectTopologyFrom(const std::string& node_dir) {
   }
   closedir(dir);
   if (node_ids.empty()) return SingleNodeFallback();
-  // Node ids are made dense in sorted order: ShardedCcf indexes domains and
-  // workers by the dense index, not the kernel id.
+  // Node ids are made dense in sorted order: ShardedCcf assigns shards to
+  // nodes by the dense index, not the kernel id.
   std::sort(node_ids.begin(), node_ids.end());
 
   NumaTopology topo;
   topo.node_cpus.resize(node_ids.size());
-  int max_cpu = -1;
   for (size_t n = 0; n < node_ids.size(); ++n) {
     std::ifstream in(node_dir + "/node" + std::to_string(node_ids[n]) +
                      "/cpulist");
@@ -111,15 +109,8 @@ NumaTopology DetectTopologyFrom(const std::string& node_dir) {
     std::vector<int> cpus;
     if (!ParseCpuList(ss.str(), &cpus)) return SingleNodeFallback();
     topo.node_cpus[n] = std::move(cpus);
-    for (int c : topo.node_cpus[n]) max_cpu = std::max(max_cpu, c);
   }
   topo.num_nodes = static_cast<int>(node_ids.size());
-  topo.cpu_to_node.assign(static_cast<size_t>(max_cpu + 1), -1);
-  for (size_t n = 0; n < topo.node_cpus.size(); ++n) {
-    for (int c : topo.node_cpus[n]) {
-      topo.cpu_to_node[static_cast<size_t>(c)] = static_cast<int>(n);
-    }
-  }
   topo.from_sysfs = true;
   return topo;
 #else
@@ -158,22 +149,6 @@ bool NumaAvailable() { return SystemTopology()->num_nodes > 1; }
 void SetTopologyForTesting(std::shared_ptr<const NumaTopology> topology) {
   std::lock_guard<std::mutex> lock(g_topology_mu);
   g_topology = std::move(topology);
-}
-
-int NodeOfCpu(const NumaTopology& topo, int cpu) {
-  if (cpu >= 0 && static_cast<size_t>(cpu) < topo.cpu_to_node.size()) {
-    int node = topo.cpu_to_node[static_cast<size_t>(cpu)];
-    if (node >= 0 && node < topo.num_nodes) return node;
-  }
-  return 0;
-}
-
-int CurrentNode(const NumaTopology& topo) {
-#if defined(__linux__)
-  int cpu = sched_getcpu();
-  if (cpu >= 0) return NodeOfCpu(topo, cpu);
-#endif
-  return 0;
 }
 
 Status PinThreadToNode(const NumaTopology& topo, int node) {

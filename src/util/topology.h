@@ -1,13 +1,12 @@
 // NUMA topology discovery and thread/memory placement primitives.
 //
-// On a multi-socket (or multi-CCD) box the serving hot path loses to the
-// interconnect twice: shard tables allocated wherever the build thread
-// happened to run are probed remotely forever afterwards, and reader
-// pin/unpin traffic on a single shared epoch domain bounces one cache line
-// across every node. This layer gives the sharded stack what it needs to
-// stop both: a parsed cpu→node map, best-effort thread pinning to a node's
-// cpu set, and best-effort page binding (mbind) so first touch lands pages
-// on the owning node.
+// On a multi-socket (or multi-CCD) box, shard tables allocated wherever the
+// build thread happened to run are probed remotely forever afterwards. This
+// layer gives the sharded stack what it needs to place them: a parsed
+// node→cpu map, best-effort thread pinning to a node's cpu set, and
+// best-effort page binding (mbind) so first touch lands pages on the owning
+// node. Placement is all it does: readers resolve on their own thread under
+// one epoch domain per filter, whatever the topology.
 //
 // Resolution order for the process-wide topology (first hit wins):
 //   1. SetTopologyForTesting(t)   — test fixture override;
@@ -40,8 +39,6 @@ namespace ccf {
 struct NumaTopology {
   /// Number of NUMA nodes (>= 1; 1 means placement is a no-op).
   int num_nodes = 1;
-  /// cpu id -> node id; -1 for cpus no node claims.
-  std::vector<int> cpu_to_node;
   /// node id -> cpu ids owned by that node (parse order).
   std::vector<std::vector<int>> node_cpus;
   /// True when parsed from a (real or mock) sysfs node directory; false
@@ -66,14 +63,6 @@ bool NumaAvailable();
 /// Replaces the cached topology (tests). Pass nullptr to drop a previous
 /// override and re-resolve from the environment on next use.
 void SetTopologyForTesting(std::shared_ptr<const NumaTopology> topology);
-
-/// Node of `cpu` under `topo`, clamped to [0, num_nodes); unknown cpus
-/// map to node 0.
-int NodeOfCpu(const NumaTopology& topo, int cpu);
-
-/// Node the calling thread is currently running on (sched_getcpu mapped
-/// through `topo`); 0 when the cpu cannot be determined.
-int CurrentNode(const NumaTopology& topo);
 
 /// Pins the CALLING thread to `node`'s cpu set. Best-effort: returns a
 /// non-OK status (and changes nothing) when the node has no cpus the

@@ -1,10 +1,10 @@
 // FilterCatalog serving tier: alias-mode (zero-copy mmap) deserialization
 // is bit-identical to copy mode on every variant, mutation after an
 // alias load copy-on-writes and never touches the mapping, promote/evict
-// churn under concurrent readers never produces a false negative, the
-// cross-request batcher is differentially byte-equal to the inline path,
-// and ShardedCcf's size/age auto-commit folds staged rows in the
-// background.
+// churn under concurrent readers never produces a false negative,
+// concurrent callers get byte-for-byte the answers of a single-threaded
+// pass while the hot budget churns, and ShardedCcf's size/age auto-commit
+// folds staged rows in the background.
 #include "serve/filter_catalog.h"
 
 #include <gtest/gtest.h>
@@ -215,7 +215,6 @@ TEST(FilterCatalogChurnTest, PromoteEvictChurnHasNoFalseNegatives) {
 
   CatalogOptions options;
   options.hot_budget_bytes = 3 * filter_bytes;
-  options.enable_batcher = false;
   FilterCatalog catalog(options);
   for (int i = 0; i < kFilters; ++i) {
     ASSERT_TRUE(catalog.AddFile("f" + std::to_string(i), paths[i]).ok());
@@ -259,26 +258,33 @@ TEST(FilterCatalogChurnTest, PromoteEvictChurnHasNoFalseNegatives) {
   for (const std::string& path : paths) std::remove(path.c_str());
 }
 
-TEST(FilterCatalogBatcherTest, BatcherDifferentialByteEqualToInline) {
-  // Concurrent BatchedLookup callers (mixed predicates and key-only) must
-  // produce exactly the bytes the inline path produces for the same
-  // requests.
-  constexpr int kFilters = 4;
+TEST(FilterCatalogConcurrentCallersTest, AnswersMatchSingleThreadedPass) {
+  // Concurrent callers (mixed-predicate LookupBatch and key-only
+  // ContainsKeyBatch) over memory-backed filters, with a hot budget of two
+  // filters so promotions and evictions (compress / decompress round
+  // trips) run underneath them: every answer must equal, byte for byte,
+  // the one a single-threaded pass over the same requests gets.
+  constexpr int kFilters = 6;
   constexpr int kCallers = 4;
   constexpr int kRequests = 64;
   constexpr size_t kKeysPerRequest = 256;
 
-  FilterCatalog catalog{CatalogOptions{}};
   std::vector<Rows> per_filter_rows;
+  std::vector<std::unique_ptr<ConditionalCuckooFilter>> filters;
   for (int i = 0; i < kFilters; ++i) {
     Rows rows = MakeRows(3000, 200 + static_cast<uint64_t>(i),
                          static_cast<uint64_t>(i) << 32);
-    ASSERT_TRUE(
-        catalog
-            .AddFilter("f" + std::to_string(i),
-                       BuildFilter(CcfVariant::kChained, rows, 7))
-            .ok());
+    filters.push_back(BuildFilter(CcfVariant::kChained, rows, 7));
     per_filter_rows.push_back(std::move(rows));
+  }
+  CatalogOptions options;
+  options.hot_budget_bytes = 2 * (filters[0]->SizeInBits() / 8);
+  FilterCatalog catalog(options);
+  for (int i = 0; i < kFilters; ++i) {
+    ASSERT_TRUE(catalog
+                    .AddFilter("f" + std::to_string(i),
+                               std::move(filters[static_cast<size_t>(i)]))
+                    .ok());
   }
   Predicate preds[2] = {Predicate::Equals(0, 42),
                         Predicate::Equals(0, 7).AndEquals(1, 3)};
@@ -287,8 +293,8 @@ TEST(FilterCatalogBatcherTest, BatcherDifferentialByteEqualToInline) {
     std::string id;
     std::vector<uint64_t> keys;
     const Predicate* pred;  // null = key-only
-    std::vector<char> batched;
-    std::vector<char> inlined;
+    std::vector<char> concurrent;
+    std::vector<char> single;
   };
   std::vector<std::vector<Request>> per_caller(kCallers);
   for (int t = 0; t < kCallers; ++t) {
@@ -303,56 +309,54 @@ TEST(FilterCatalogBatcherTest, BatcherDifferentialByteEqualToInline) {
       }
       uint64_t which = rng.NextBelow(3);
       req.pred = which == 2 ? nullptr : &preds[which];
-      req.batched.resize(kKeysPerRequest);
-      req.inlined.resize(kKeysPerRequest);
       per_caller[static_cast<size_t>(t)].push_back(std::move(req));
     }
   }
+  // One request through the catalog's public API; the answer as bytes.
+  auto issue = [&catalog](const Request& req, std::vector<char>* answer) {
+    std::unique_ptr<bool[]> out(new bool[kKeysPerRequest]);
+    std::span<bool> out_span(out.get(), kKeysPerRequest);
+    Status st = req.pred != nullptr
+                    ? catalog.LookupBatch(req.id, req.keys, *req.pred, out_span)
+                    : catalog.ContainsKeyBatch(req.id, req.keys, out_span);
+    answer->assign(out.get(), out.get() + kKeysPerRequest);
+    return st;
+  };
 
+  const CatalogStats before = catalog.stats();
   std::atomic<int> errors{0};
   std::vector<std::thread> callers;
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      std::unique_ptr<bool[]> out(new bool[kKeysPerRequest]);
       for (Request& req : per_caller[static_cast<size_t>(t)]) {
-        Status st = catalog.BatchedLookup(
-            req.id, req.keys, req.pred,
-            std::span<bool>(out.get(), kKeysPerRequest));
-        if (!st.ok()) {
-          errors.fetch_add(1);
-          continue;
-        }
-        for (size_t k = 0; k < kKeysPerRequest; ++k) {
-          req.batched[k] = out[k] ? 1 : 0;
-        }
+        if (!issue(req, &req.concurrent).ok()) errors.fetch_add(1);
       }
     });
   }
   for (auto& c : callers) c.join();
   ASSERT_EQ(errors.load(), 0);
+  const CatalogStats during = catalog.stats();
+  EXPECT_GT(during.evictions, before.evictions);
+  EXPECT_GT(during.promotions, before.promotions);
 
-  // Inline reference pass (single-threaded, same catalog).
-  std::unique_ptr<bool[]> out(new bool[kKeysPerRequest]);
+  // Single-threaded reference pass over the same requests.
   for (auto& requests : per_caller) {
     for (Request& req : requests) {
-      Status st;
-      if (req.pred != nullptr) {
-        st = catalog.LookupBatch(
-            req.id, req.keys, *req.pred,
-            std::span<bool>(out.get(), kKeysPerRequest));
-      } else {
-        st = catalog.ContainsKeyBatch(
-            req.id, req.keys, std::span<bool>(out.get(), kKeysPerRequest));
-      }
-      ASSERT_TRUE(st.ok());
-      for (size_t k = 0; k < kKeysPerRequest; ++k) {
-        req.inlined[k] = out[k] ? 1 : 0;
-      }
-      EXPECT_EQ(req.batched, req.inlined);
+      ASSERT_TRUE(issue(req, &req.single).ok());
+      EXPECT_EQ(req.concurrent, req.single) << req.id;
     }
   }
-  CatalogStats stats = catalog.stats();
-  EXPECT_GT(stats.batched_requests + stats.inline_requests, 0u);
+  // Present keys read true on every path (no false negatives).
+  for (int i = 0; i < kFilters; ++i) {
+    const Rows& rows = per_filter_rows[static_cast<size_t>(i)];
+    std::unique_ptr<bool[]> out(new bool[rows.keys.size()]);
+    ASSERT_TRUE(catalog
+                    .ContainsKeyBatch("f" + std::to_string(i), rows.keys,
+                                      std::span<bool>(out.get(),
+                                                      rows.keys.size()))
+                    .ok());
+    for (size_t k = 0; k < rows.keys.size(); ++k) EXPECT_TRUE(out[k]);
+  }
 }
 
 TEST(FilterCatalogInsertTest, MutationSurvivesEvictionOnMemoryBackedEntry) {
@@ -429,7 +433,6 @@ TEST(FilterCatalogInsertTest, WriteSidePromotionEnforcesHotBudget) {
 
   CatalogOptions options;
   options.hot_budget_bytes = one_filter + one_filter / 2;  // fits ~1 of 2
-  options.enable_batcher = false;
   FilterCatalog catalog(options);
   ASSERT_TRUE(catalog.AddFilter("a", std::move(a)).ok());
   ASSERT_TRUE(

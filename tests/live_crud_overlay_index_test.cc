@@ -1,6 +1,6 @@
 // The staged overlay's per-key chain index, against an oracle and against
-// concurrent writers. Every read path — scalar, per-key batch, broadcast,
-// key batch and the node-routed workers — resolves staged records through
+// concurrent writers. Every read path — scalar, per-key batch, broadcast
+// and key batch — resolves staged records through
 // one snapshot walk of the queried key's chain. These tests pin that walk:
 // a differential over overlays that grow mid-stage, recycle retired blocks
 // and chain keys that share a head slot (every path must agree with a
@@ -52,16 +52,15 @@ CcfConfig IndexConfig() {
 
 // --- Differential against a row-log oracle ---------------------------------
 
-// A mock two-node topology over the real cpus (the numa_routing_test
-// shape), so forced-NUMA filters ship remote shards to worker threads.
+// A mock two-node topology over the real cpus (the numa_placement_test
+// shape): filters built under it bind shard pages and pin commit workers
+// per node.
 std::shared_ptr<const NumaTopology> MockTwoNodes() {
   auto topo = std::make_shared<NumaTopology>();
   topo->num_nodes = 2;
   topo->node_cpus.assign(2, {});
   int cpus = std::max(1u, std::thread::hardware_concurrency());
-  topo->cpu_to_node.assign(static_cast<size_t>(cpus), 0);
   for (int c = 0; c < cpus; ++c) {
-    topo->cpu_to_node[static_cast<size_t>(c)] = c % 2;
     topo->node_cpus[static_cast<size_t>(c % 2)].push_back(c);
   }
   topo->from_sysfs = true;
@@ -79,25 +78,25 @@ struct OracleRow {
   bool live;
 };
 
-// Two filters take the same staged CRUD stream: one on the calling thread
-// only, one with forced NUMA and a lookup worker per node. Each round
+// Two filters take the same staged CRUD stream: one unplaced, one placed
+// on an injected two-node topology. Each round
 // stages well over 64 records per shard (blocks grow mid-stage through
 // Adopt, and commits hand retired blocks back through Reset), over a pool
 // of ~100 keys per shard, so dozens of keys share a head slot. Ops include
 // erase then re-insert of the same row and chained updates (a→b→c in one
 // round). Live rows must read true on every path; every path must give
-// the scalar answer; the routed filter must give the inline one.
+// the scalar answer; the filter placed on an injected two-node topology
+// must give the unplaced one.
 TEST_P(LiveCrudOverlayIndexTest, EveryReadPathAgreesWithTheOracle) {
-  SetTopologyForTesting(MockTwoNodes());
   ShardedCcfOptions opts;
   opts.num_shards = 2;
   opts.compact_watermark = 0;
-  opts.numa_policy = NumaPolicy::kOff;
+  // Built before the injection: each filter snapshots the topology at
+  // construction, so only the second one is placed.
   auto f = ShardedCcf::Make(GetParam(), IndexConfig(), opts).ValueOrDie();
-  opts.numa_policy = NumaPolicy::kForce;
-  opts.lookup_workers_per_node = 1;
-  auto routed = ShardedCcf::Make(GetParam(), IndexConfig(), opts).ValueOrDie();
-  ShardedCcf* filters[] = {f.get(), routed.get()};
+  SetTopologyForTesting(MockTwoNodes());
+  auto placed = ShardedCcf::Make(GetParam(), IndexConfig(), opts).ValueOrDie();
+  ShardedCcf* filters[] = {f.get(), placed.get()};
 
   constexpr uint64_t kPool = 200;
   std::vector<OracleRow> oracle;
@@ -171,7 +170,7 @@ TEST_P(LiveCrudOverlayIndexTest, EveryReadPathAgreesWithTheOracle) {
     std::unique_ptr<bool[]> out(new bool[n + 1]);
     std::span<bool> out_span(out.get(), n);
     for (ShardedCcf* x : filters) {
-      const std::string who = when + (x == f.get() ? " inline" : " routed");
+      const std::string who = when + (x == f.get() ? " unplaced" : " placed");
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(x->Contains(keys[i], preds[i]), scalar[i]) << who;
         ASSERT_EQ(x->ContainsKey(keys[i]), scalar_key[i]) << who;

@@ -1,11 +1,16 @@
-// NUMA-mode differential suite: every placement mode (forced multi-node
-// topology, per-node epoch domains, node-pinned builds, SPSC-routed
-// batched lookups) must be bit-identical to the single-domain path — same
-// serialized bytes for builds/commits, same answers for every query
-// method, staged writes and erases included. Runs on single-node machines
-// by injecting mock topologies (NumaPolicy::kForce honors them); all
-// placement syscalls are best-effort, so cpu-less mock nodes degrade to
-// unpinned execution without changing any answer.
+// NUMA placement differential suite: a ShardedCcf placed on a multi-node
+// topology (shards round-robin over nodes, node-bound table pages,
+// node-pinned build/commit/resize workers) must be bit-identical to an
+// unplaced one — same serialized bytes for builds and commits, same
+// answers on every read path, staged writes and erases included. Runs on
+// single-node machines by injecting mock topologies with
+// SetTopologyForTesting. A filter snapshots the topology at construction,
+// so each reference filter is built first, under an injected one-node
+// topology (unplaced whatever the environment says), and the placed one
+// after the multi-node injection. All placement syscalls are best-effort,
+// so cpu-less mock nodes degrade to unpinned execution without changing
+// any answer. The suites keep their NumaRouting names so their test ids
+// stay stable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,50 +63,40 @@ std::shared_ptr<const NumaTopology> MockNodes(int n) {
   topo->num_nodes = n;
   topo->node_cpus.assign(static_cast<size_t>(n), {});
   int cpus = std::max(1u, std::thread::hardware_concurrency());
-  topo->cpu_to_node.assign(static_cast<size_t>(cpus), 0);
   for (int c = 0; c < cpus; ++c) {
-    topo->cpu_to_node[static_cast<size_t>(c)] = c % n;
     topo->node_cpus[static_cast<size_t>(c % n)].push_back(c);
   }
   topo->from_sysfs = true;
   return topo;
 }
 
-// Injects a mock multi-node topology for the test body and always restores
-// the real one, even on assertion failure.
+// Tests inject a mock multi-node topology for the body; TearDown always
+// restores the real one, even on assertion failure.
 class NumaRoutingTest : public ::testing::TestWithParam<CcfVariant> {
  protected:
   void TearDown() override { SetTopologyForTesting(nullptr); }
 };
 
-ShardedCcfOptions OffOptions() {
+ShardedCcfOptions Options() {
   ShardedCcfOptions opts;
   opts.num_shards = 8;
-  opts.numa_policy = NumaPolicy::kOff;
-  return opts;
-}
-
-ShardedCcfOptions ForcedOptions(int workers_per_node) {
-  ShardedCcfOptions opts;
-  opts.num_shards = 8;
-  opts.numa_policy = NumaPolicy::kForce;
-  opts.lookup_workers_per_node = workers_per_node;
   return opts;
 }
 
 TEST_P(NumaRoutingTest, RoutedLookupsMatchSyncIncludingStagedCrud) {
-  SetTopologyForTesting(MockNodes(2));
   Rows rows = MakeRows(9000, 17);
 
+  SetTopologyForTesting(MockNodes(1));
   auto ref =
-      ShardedCcf::Make(GetParam(), TestConfig(77), OffOptions()).ValueOrDie();
-  auto numa = ShardedCcf::Make(GetParam(), TestConfig(77), ForcedOptions(2))
-                  .ValueOrDie();
+      ShardedCcf::Make(GetParam(), TestConfig(77), Options()).ValueOrDie();
+  SetTopologyForTesting(MockNodes(2));
+  auto numa =
+      ShardedCcf::Make(GetParam(), TestConfig(77), Options()).ValueOrDie();
   ASSERT_TRUE(ref->InsertParallel(rows.keys, rows.flat_attrs).ok());
   ASSERT_TRUE(numa->InsertParallel(rows.keys, rows.flat_attrs).ok());
 
   // Stage (but do not commit) extra writes AND erases of committed rows,
-  // so routed lookups must agree through the overlay fast path and the
+  // so placed lookups must agree through the overlay fast path and the
   // erase-aware exact slow path alike.
   std::vector<uint64_t> staged_keys;
   std::vector<uint64_t> staged_attrs;
@@ -126,10 +121,14 @@ TEST_P(NumaRoutingTest, RoutedLookupsMatchSyncIncludingStagedCrud) {
   probes.insert(probes.end(), staged_keys.begin(), staged_keys.end());
   for (uint64_t k = 900000; k < 900500; ++k) probes.push_back(k);
 
+  // A value most committed rows can carry, so both hit and miss branches
+  // fire.
+  Predicate pred = Predicate::Equals(1, 7);
   std::vector<bool> scalar_ref, scalar_numa;
   for (uint64_t k : probes) {
     scalar_ref.push_back(ref->ContainsKey(k));
     scalar_numa.push_back(numa->ContainsKey(k));
+    EXPECT_EQ(ref->Contains(k, pred), numa->Contains(k, pred)) << k;
   }
   EXPECT_EQ(scalar_ref, scalar_numa);
 
@@ -148,9 +147,7 @@ TEST_P(NumaRoutingTest, RoutedLookupsMatchSyncIncludingStagedCrud) {
   }
   EXPECT_EQ(batch_ref, batch_numa);
 
-  // Broadcast predicate lookups through the routed path (a value most
-  // committed rows can carry, so both hit and miss branches fire).
-  Predicate pred = Predicate::Equals(1, 7);
+  // Broadcast predicate lookups.
   std::unique_ptr<bool[]> pa(new bool[probes.size()]);
   std::unique_ptr<bool[]> pb(new bool[probes.size()]);
   ASSERT_TRUE(ref->LookupBatch(probes, std::span<const Predicate>(&pred, 1),
@@ -163,6 +160,21 @@ TEST_P(NumaRoutingTest, RoutedLookupsMatchSyncIncludingStagedCrud) {
     EXPECT_EQ(pa[i], pb[i]) << "probe " << i;
   }
 
+  // Per-key predicates (the two-pass addressed path).
+  std::vector<Predicate> per_key;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    per_key.push_back(Predicate::Equals(static_cast<int>(i % 2), i % 11));
+  }
+  ASSERT_TRUE(ref->LookupBatch(probes, per_key,
+                               std::span<bool>(pa.get(), probes.size()))
+                  .ok());
+  ASSERT_TRUE(numa->LookupBatch(probes, per_key,
+                                std::span<bool>(pb.get(), probes.size()))
+                  .ok());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(pa[i], pb[i]) << "per-key probe " << i;
+  }
+
   // After committing everything the serialized bytes must match exactly.
   ASSERT_TRUE(ref->CommitWrites().ok());
   ASSERT_TRUE(numa->CommitWrites(/*num_threads=*/4).ok());
@@ -171,17 +183,18 @@ TEST_P(NumaRoutingTest, RoutedLookupsMatchSyncIncludingStagedCrud) {
 }
 
 TEST_P(NumaRoutingTest, ForcedNumaBuildIsBitIdenticalAcrossThreadCounts) {
-  SetTopologyForTesting(MockNodes(4));
   Rows rows = MakeRows(12000, 23);
 
+  SetTopologyForTesting(MockNodes(1));
   auto off =
-      ShardedCcf::Make(GetParam(), TestConfig(31), OffOptions()).ValueOrDie();
+      ShardedCcf::Make(GetParam(), TestConfig(31), Options()).ValueOrDie();
   ASSERT_TRUE(off->InsertParallel(rows.keys, rows.flat_attrs, 1).ok());
   std::string want = off->Serialize();
 
+  SetTopologyForTesting(MockNodes(4));
   for (int threads : {1, 2, 8}) {
-    auto numa = ShardedCcf::Make(GetParam(), TestConfig(31), ForcedOptions(0))
-                    .ValueOrDie();
+    auto numa =
+        ShardedCcf::Make(GetParam(), TestConfig(31), Options()).ValueOrDie();
     ASSERT_TRUE(
         numa->InsertParallel(rows.keys, rows.flat_attrs, threads).ok());
     EXPECT_EQ(numa->Serialize(), want) << "threads=" << threads;
@@ -189,13 +202,14 @@ TEST_P(NumaRoutingTest, ForcedNumaBuildIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(NumaRoutingTest, StripedCommitMatchesSequentialCommit) {
-  SetTopologyForTesting(MockNodes(2));
   Rows rows = MakeRows(6000, 41);
 
+  SetTopologyForTesting(MockNodes(1));
   auto seq =
-      ShardedCcf::Make(GetParam(), TestConfig(59), OffOptions()).ValueOrDie();
-  auto striped = ShardedCcf::Make(GetParam(), TestConfig(59), ForcedOptions(0))
-                     .ValueOrDie();
+      ShardedCcf::Make(GetParam(), TestConfig(59), Options()).ValueOrDie();
+  SetTopologyForTesting(MockNodes(2));
+  auto striped =
+      ShardedCcf::Make(GetParam(), TestConfig(59), Options()).ValueOrDie();
   ASSERT_TRUE(seq->BufferWriteBatch(rows.keys, rows.flat_attrs).ok());
   ASSERT_TRUE(striped->BufferWriteBatch(rows.keys, rows.flat_attrs).ok());
   ASSERT_TRUE(seq->CommitWrites(/*num_threads=*/1).ok());
@@ -207,44 +221,43 @@ TEST_P(NumaRoutingTest, StripedCommitMatchesSequentialCommit) {
 
 TEST_P(NumaRoutingTest, DestructionReapsInFlightMaintenance) {
   // Regression for the teardown order: watermark resizes capture `this`
-  // and per-node domains hold retire hooks that touch the shards — a
-  // filter destroyed with maintenance in flight (no DrainMaintenance call)
-  // must join and synchronize everything itself. Sanitizer runs catch any
-  // use-after-free here.
+  // (and pin themselves to their shard's node) and the epoch domain holds
+  // retire hooks that touch the shards — a placed filter destroyed with
+  // maintenance in flight (no DrainMaintenance call) must join and
+  // synchronize everything itself. Sanitizer runs catch any use-after-free
+  // here.
   SetTopologyForTesting(MockNodes(2));
   Rows rows = MakeRows(9000, 67);
   for (int round = 0; round < 3; ++round) {
-    ShardedCcfOptions opts = ForcedOptions(2);
+    ShardedCcfOptions opts = Options();
     opts.resize_watermark = 0.10;  // absurdly low: every commit schedules
     auto filter =
         ShardedCcf::Make(GetParam(), TestConfig(83), opts).ValueOrDie();
     ASSERT_TRUE(filter->BufferWriteBatch(rows.keys, rows.flat_attrs).ok());
     ASSERT_TRUE(filter->CommitWrites(/*num_threads=*/4).ok());
-    // Fire some routed lookups so worker rings are live at destruction.
+    // Fire lookups while the background rebuilds publish and retire.
     std::unique_ptr<bool[]> out(new bool[rows.keys.size()]);
     filter->ContainsKeyBatch(rows.keys,
                              std::span<bool>(out.get(), rows.keys.size()));
-    // Destroy immediately: workers stop, maintenance futures join, domains
-    // synchronize — in that order.
+    for (size_t i = 0; i < rows.keys.size(); ++i) {
+      ASSERT_TRUE(out[i]) << "false negative on key " << rows.keys[i];
+    }
+    // Destroy immediately: maintenance futures join, then the domain
+    // synchronizes — in that order.
   }
 }
 
 TEST_P(NumaRoutingTest, DeserializedFilterServesUnderForcedNuma) {
   Rows rows = MakeRows(6000, 91);
-  std::string blob;
-  {
-    SetTopologyForTesting(nullptr);
-    auto built = ShardedCcf::Make(GetParam(), TestConfig(13), OffOptions())
-                     .ValueOrDie();
-    ASSERT_TRUE(built->InsertParallel(rows.keys, rows.flat_attrs).ok());
-    blob = built->Serialize();
-  }
-  SetTopologyForTesting(MockNodes(2));
-  ShardedCcfOptions opts = OffOptions();
+  SetTopologyForTesting(MockNodes(1));
+  auto built =
+      ShardedCcf::Make(GetParam(), TestConfig(13), Options()).ValueOrDie();
+  ASSERT_TRUE(built->InsertParallel(rows.keys, rows.flat_attrs).ok());
+  const std::string blob = built->Serialize();
   auto off = ShardedCcf::Deserialize(blob).ValueOrDie();
-  (void)opts;
-  // Deserialize resolves kAuto against the injected 2-node topology, so
-  // this restored filter runs with per-node domains.
+  // Deserialize snapshots the injected 2-node topology, so this restored
+  // filter is placed.
+  SetTopologyForTesting(MockNodes(2));
   auto numa = ShardedCcf::Deserialize(blob).ValueOrDie();
   std::vector<uint64_t> probes;
   for (size_t i = 0; i < rows.keys.size(); i += 5) {
@@ -258,19 +271,31 @@ TEST_P(NumaRoutingTest, DeserializedFilterServesUnderForcedNuma) {
   for (size_t i = 0; i < probes.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "probe " << i;
   }
+  // Both restored filters stay writable: committed writes land identically.
+  Rows extra = MakeRows(900, 93);
+  for (auto* f : {off.get(), numa.get()}) {
+    auto* sharded = static_cast<ShardedCcf*>(f);
+    ASSERT_TRUE(sharded->BufferWriteBatch(extra.keys, extra.flat_attrs).ok());
+    ASSERT_TRUE(sharded->CommitWrites(/*num_threads=*/4).ok());
+  }
+  EXPECT_EQ(off->Serialize(), numa->Serialize());
 }
 
 TEST(NumaRoutingPolicyTest, AutoPolicyIsInertOnSingleNode) {
-  // kAuto + single-node topology (the CCF_NUMA=off shape): exactly one
-  // domain, no workers, everything serves normally.
-  SetTopologyForTesting(MockNodes(1));
+  // A one-node topology (the CCF_NUMA=off shape) leaves placement off:
+  // the filter builds and serves exactly like one built under the
+  // environment's topology.
   ShardedCcfOptions opts;
   opts.num_shards = 4;
-  opts.lookup_workers_per_node = 4;  // ignored: policy resolves inactive
+  Rows rows = MakeRows(3000, 3);
+  auto ref =
+      ShardedCcf::Make(CcfVariant::kMixed, TestConfig(7), opts).ValueOrDie();
+  ASSERT_TRUE(ref->InsertParallel(rows.keys, rows.flat_attrs).ok());
+  SetTopologyForTesting(MockNodes(1));
   auto filter =
       ShardedCcf::Make(CcfVariant::kMixed, TestConfig(7), opts).ValueOrDie();
-  Rows rows = MakeRows(3000, 3);
   ASSERT_TRUE(filter->InsertParallel(rows.keys, rows.flat_attrs).ok());
+  EXPECT_EQ(filter->Serialize(), ref->Serialize());
   std::unique_ptr<bool[]> out(new bool[rows.keys.size()]);
   filter->ContainsKeyBatch(rows.keys,
                            std::span<bool>(out.get(), rows.keys.size()));

@@ -89,11 +89,6 @@ TEST(TopologyParseTest, ParsesMultiNodeWithRangesAndGaps) {
             (std::vector<int>{0, 1, 2, 3, 8, 9, 10, 11}));
   EXPECT_EQ(topo.node_cpus[1],
             (std::vector<int>{4, 5, 6, 7, 12, 13, 14, 15}));
-  EXPECT_EQ(NodeOfCpu(topo, 2), 0);
-  EXPECT_EQ(NodeOfCpu(topo, 13), 1);
-  // Unknown cpus clamp to node 0 rather than erroring.
-  EXPECT_EQ(NodeOfCpu(topo, 4000), 0);
-  EXPECT_EQ(NodeOfCpu(topo, -1), 0);
 }
 
 TEST(TopologyParseTest, MissingDirectoryFallsBackToSingleNode) {
