@@ -32,6 +32,7 @@
 #include "data/workload.h"
 #include "data/zipf.h"
 #include "join/multi_join.h"
+#include "join/semijoin.h"
 #include "hash/lookup3.h"
 #include "util/cpu_features.h"
 #include "util/random.h"
@@ -1112,6 +1113,39 @@ void BM_HotBuildChainedDupes(benchmark::State& state) {
   state.SetLabel("hot-build-chained-dupes");
 }
 BENCHMARK(BM_HotBuildChainedDupes)->Unit(benchmark::kMillisecond);
+
+// The join layer's gather step (CollectDistinctKeys): 2^20 key-column rows
+// with ~25% masked, keys drawn from 90k scattered (non-dense) values, so
+// the masked rows carry ~85k distinct keys. Items are masked rows, the
+// rows the gather indexes and counts; the unmasked ones cost a byte test.
+void BM_HotJoinGather(benchmark::State& state) {
+  constexpr uint64_t kRows = uint64_t{1} << 20;
+  constexpr uint64_t kKeyValues = 90000;
+  TableData td;
+  td.spec.name = "gather";
+  td.spec.key_column = "k";
+  td.table = Table("gather", {"k"});
+  td.table.Reserve(kRows);
+  std::vector<char> mask(kRows);
+  uint64_t masked = 0;
+  Rng rng(29);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    const uint64_t key = rng.NextBelow(kKeyValues) * 2654435761u;
+    td.table.AppendRow(std::span<const uint64_t>(&key, 1));
+    mask[i] = rng.NextBelow(4) == 0;
+    masked += static_cast<uint64_t>(mask[i]);
+  }
+  size_t distinct = 0;
+  for (auto _ : state) {
+    DistinctKeys d = CollectDistinctKeys(td, mask).ValueOrDie();
+    distinct = d.keys.size();
+    benchmark::DoNotOptimize(d.rows.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(masked));
+  state.counters["distinct_keys"] = static_cast<double>(distinct);
+  state.SetLabel("hot-join-gather");
+}
+BENCHMARK(BM_HotJoinGather)->Unit(benchmark::kMillisecond);
 
 // §4.1 doubling rebuild of the hot table: re-place every row into a table
 // with twice the buckets. Arg 0 = the pre-batching retry path (scalar

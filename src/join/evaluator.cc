@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
+#include <numeric>
 
 namespace ccf {
 
@@ -61,11 +61,9 @@ Result<CuckooFilterSet> CuckooFilterSet::Build(const ImdbDataset& dataset,
                                                uint64_t salt) {
   CuckooFilterSet set;
   for (const TableData& td : dataset.tables) {
-    CCF_ASSIGN_OR_RETURN(const std::vector<uint64_t>* keys,
-                         td.table.column(td.spec.key_column));
-    std::unordered_map<uint64_t, char> distinct;
-    distinct.reserve(keys->size());
-    for (uint64_t k : *keys) distinct.emplace(k, 1);
+    CCF_ASSIGN_OR_RETURN(
+        DistinctKeys distinct,
+        CollectDistinctKeys(td, std::vector<char>(td.table.num_rows(), 1)));
 
     CuckooFilterConfig config;
     config.fingerprint_bits = fingerprint_bits;
@@ -73,14 +71,14 @@ Result<CuckooFilterSet> CuckooFilterSet::Build(const ImdbDataset& dataset,
     config.salt = salt;
     CCF_ASSIGN_OR_RETURN(
         CuckooFilter filter,
-        CuckooFilter::MakeForCapacity(distinct.size(), config, 0.95));
-    for (const auto& [k, unused] : distinct) {
+        CuckooFilter::MakeForCapacity(distinct.keys.size(), config, 0.95));
+    for (uint64_t k : distinct.keys) {
       Status st = filter.Insert(k);
       if (!st.ok()) {
         // Resize once; distinct key sets at 95% target occasionally spill.
         config.num_buckets = filter.config().num_buckets * 2;
         CCF_ASSIGN_OR_RETURN(filter, CuckooFilter::Make(config));
-        for (const auto& [k2, unused2] : distinct) {
+        for (uint64_t k2 : distinct.keys) {
           CCF_RETURN_NOT_OK(filter.Insert(k2));
         }
         break;
@@ -172,25 +170,23 @@ Result<std::vector<InstanceResult>> WorkloadEvaluator::Evaluate(
       CCF_ASSIGN_OR_RETURN(
           std::vector<char> mask,
           MatchMask(base, preds[b], YearMode::kExact, year_binner_));
-      CCF_ASSIGN_OR_RETURN(const std::vector<uint64_t>* key_col,
-                           base.table.column(base.spec.key_column));
-
       // Probe answers are a function of the key only (per other table), so
       // gather the distinct surviving keys once and push them through the
       // batched probe hot path of every other table's filter. Keys that
       // fail a filter are compacted out before the next table (the batch
       // analogue of the scalar path's early exit), so a selective first
-      // filter shrinks every later probe batch. Identical answers to
-      // probing row by row, minus the repeated hashing, predicate
-      // compilation, and cache misses.
+      // filter shrinks every later probe batch. The gather also counts the
+      // masked rows of each key, so the surviving row count is a sum over
+      // the surviving key ids: identical answers to probing row by row,
+      // minus the repeated hashing, predicate compilation, cache misses and
+      // second table scan.
       CCF_ASSIGN_OR_RETURN(DistinctKeys distinct,
                            CollectDistinctKeys(base, mask));
       size_t num_keys = distinct.keys.size();
-      std::vector<char> pass(num_keys, 1);
-      // Only distinct.index is read after this point; take the key vector.
+      // Only distinct.rows is read after this point; take the key vector.
       std::vector<uint64_t> alive_keys = std::move(distinct.keys);
-      std::vector<size_t> alive_pos(num_keys);
-      for (size_t k = 0; k < num_keys; ++k) alive_pos[k] = k;
+      std::vector<uint32_t> alive_pos(num_keys);
+      std::iota(alive_pos.begin(), alive_pos.end(), uint32_t{0});
       std::unique_ptr<bool[]> probe(new bool[num_keys]);
       for (size_t t = 0; t < tables.size() && !alive_keys.empty(); ++t) {
         if (t == b) continue;
@@ -199,21 +195,15 @@ Result<std::vector<InstanceResult>> WorkloadEvaluator::Evaluate(
             std::span<bool>(probe.get(), alive_keys.size())));
         size_t kept = 0;
         for (size_t k = 0; k < alive_keys.size(); ++k) {
-          if (probe[k]) {
-            alive_keys[kept] = alive_keys[k];
-            alive_pos[kept] = alive_pos[k];
-            ++kept;
-          } else {
-            pass[alive_pos[k]] = 0;
-          }
+          if (!probe[k]) continue;
+          alive_keys[kept] = alive_keys[k];
+          alive_pos[kept] = alive_pos[k];
+          ++kept;
         }
         alive_keys.resize(kept);
         alive_pos.resize(kept);
       }
-      for (size_t i = 0; i < key_col->size(); ++i) {
-        if (!mask[i]) continue;
-        if (pass[distinct.index.at((*key_col)[i])]) ++result.m_filtered;
-      }
+      for (uint32_t pos : alive_pos) result.m_filtered += distinct.rows[pos];
       results.push_back(std::move(result));
       ++inst;
     }

@@ -252,8 +252,8 @@ Result<MultiJoinResult> RunMultiJoinChain(const ImdbDataset& dataset,
     }
     for (size_t i = 0; i < key_col->size(); ++i) {
       if (!mask[i]) continue;
-      auto it = distinct.index.find((*key_col)[i]);
-      if (it == distinct.index.end() || !hits[it->second]) continue;
+      int64_t id = distinct.Find((*key_col)[i]);
+      if (id < 0 || !hits[id]) continue;
       ++step.rows_after_probe;
       next_keys.push_back((*key_col)[i]);
       next_attrs.push_back(attr_col == nullptr ? 0 : (*attr_col)[i]);

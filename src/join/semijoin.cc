@@ -1,6 +1,7 @@
 #include "join/semijoin.h"
 
 #include <algorithm>
+#include <string>
 
 namespace ccf {
 
@@ -50,17 +51,75 @@ std::unordered_set<uint64_t> SurvivingKeys(const TableData& table,
   return keys;
 }
 
+namespace {
+
+constexpr int kMinSlotsLog2 = 4;
+constexpr size_t kChunkRows = 256;
+
+// The slot holding `key`, or the empty slot where it belongs.
+size_t SlotOf(const DistinctKeys& d, uint64_t key) {
+  const size_t wrap = d.slots.size() - 1;
+  size_t s = (key * 0x9E3779B97F4A7C15ULL) >> d.shift;
+  while (d.slots[s] != 0 && d.keys[d.slots[s] - 1] != key) {
+    s = (s + 1) & wrap;
+  }
+  return s;
+}
+
+// Doubles the index and re-places every id in first-appearance order.
+void Grow(DistinctKeys* d) {
+  d->slots.assign(d->slots.size() * 2, 0);
+  --d->shift;
+  for (size_t id = 0; id < d->keys.size(); ++id) {
+    d->slots[SlotOf(*d, d->keys[id])] = static_cast<uint32_t>(id + 1);
+  }
+}
+
+}  // namespace
+
+int64_t DistinctKeys::Find(uint64_t key) const {
+  if (slots.empty()) return -1;
+  uint32_t v = slots[SlotOf(*this, key)];
+  return static_cast<int64_t>(v) - 1;
+}
+
 Result<DistinctKeys> CollectDistinctKeys(const TableData& table,
                                          const std::vector<char>& mask) {
-  DistinctKeys out;
   CCF_ASSIGN_OR_RETURN(const std::vector<uint64_t>* key_col,
                        table.table.column(table.spec.key_column));
-  out.index.reserve(key_col->size() / 2);
-  for (size_t i = 0; i < key_col->size(); ++i) {
-    if (!mask[i]) continue;
-    uint64_t key = (*key_col)[i];
-    if (out.index.emplace(key, out.keys.size()).second) {
+  if (mask.size() != key_col->size()) {
+    return Status::Invalid("CollectDistinctKeys: mask has " +
+                           std::to_string(mask.size()) + " rows, table has " +
+                           std::to_string(key_col->size()));
+  }
+  if (key_col->size() >= (uint64_t{1} << 32)) {
+    return Status::Invalid("CollectDistinctKeys: table has 2^32 rows or more");
+  }
+  DistinctKeys out;
+  out.slots.assign(size_t{1} << kMinSlotsLog2, 0);
+  out.shift = 64 - kMinSlotsLog2;
+  // Masked keys are first compacted a chunk at a time with no branch on
+  // the mask byte, so the index pass below only sees rows it must count.
+  const std::vector<uint64_t>& kc = *key_col;
+  uint64_t chunk[kChunkRows];
+  for (size_t i = 0; i < kc.size();) {
+    const size_t end = std::min(kc.size(), i + kChunkRows);
+    size_t n = 0;
+    for (; i < end; ++i) {
+      chunk[n] = kc[i];
+      n += mask[i] != 0;
+    }
+    for (size_t j = 0; j < n; ++j) {
+      const uint64_t key = chunk[j];
+      const size_t s = SlotOf(out, key);
+      if (out.slots[s] != 0) {
+        ++out.rows[out.slots[s] - 1];
+        continue;
+      }
       out.keys.push_back(key);
+      out.rows.push_back(1);
+      out.slots[s] = static_cast<uint32_t>(out.keys.size());
+      if (out.keys.size() * 2 > out.slots.size()) Grow(&out);
     }
   }
   return out;

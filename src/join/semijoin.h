@@ -7,7 +7,6 @@
 #define CCF_JOIN_SEMIJOIN_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -34,16 +33,29 @@ Result<std::vector<char>> MatchMask(
 std::unordered_set<uint64_t> SurvivingKeys(const TableData& table,
                                            const std::vector<char>& mask);
 
-/// Distinct join keys of masked rows in first-appearance order, plus the
-/// key → position map. This is the gather step of the batched probe path:
-/// `keys` feeds FilterSet::ProbeBatch directly (probe answers are a
-/// function of the key only, so each distinct key is probed once), and
-/// `index` maps row keys back to their batch slot when counting survivors.
+/// Distinct join keys of masked rows in first-appearance order, with the
+/// number of masked rows that carry each key. This is the gather step of
+/// the batched probe path: `keys` feeds FilterSet::ProbeBatch directly
+/// (probe answers are a function of the key only, so each distinct key is
+/// probed once), and `rows[id]` lets the caller count surviving rows from
+/// the surviving key ids alone, with no second pass over the table.
+///
+/// `slots` is a flat open-addressing index over `keys`: a power-of-two
+/// array of `id + 1` (0 = empty), placed by Fibonacci multiply-shift and
+/// linear probing at load <= 1/2. Equality is checked through `keys[id]`,
+/// so every uint64_t key value is valid.
 struct DistinctKeys {
   std::vector<uint64_t> keys;
-  std::unordered_map<uint64_t, size_t> index;
+  std::vector<uint32_t> rows;   ///< rows[id]: masked rows with keys[id]
+  std::vector<uint32_t> slots;  ///< id + 1 per slot, 0 = empty
+  int shift = 64;               ///< 64 - log2(slots.size())
+
+  /// Position of `key` in `keys`, or -1 when no masked row carries it.
+  int64_t Find(uint64_t key) const;
 };
 
+/// Fails with Invalid when `mask` is not one byte per key-column row or
+/// the table has 2^32 rows or more (ids are 32-bit).
 Result<DistinctKeys> CollectDistinctKeys(const TableData& table,
                                          const std::vector<char>& mask);
 

@@ -125,6 +125,62 @@ TEST_F(JoinIntegrationTest, AggregateFprSmallForLargeFilters) {
   EXPECT_LT(agg.fpr_vs_binned, 0.08);
 }
 
+// Evaluate's batched gather/probe/count must equal the scalar definition:
+// for every instance, the masked base rows whose key passes scalar
+// FilterSet::Probe on every other table of the query.
+void ExpectEvaluateMatchesRowByRow(const WorkloadEvaluator& evaluator,
+                                   const ImdbDataset& dataset,
+                                   const std::vector<JoinQuery>& queries,
+                                   const FilterSet& filters,
+                                   const std::string& label) {
+  auto binner = RangeBinner::Make(kYearLo, kYearHi, kYearBins).ValueOrDie();
+  auto results = evaluator.Evaluate(filters).ValueOrDie();
+  size_t inst = 0;
+  for (const JoinQuery& q : queries) {
+    for (const std::string& base_name : q.tables) {
+      ASSERT_LT(inst, results.size()) << label;
+      const TableData* base = dataset.FindTable(base_name).ValueOrDie();
+      auto mask = MatchMask(*base, q.PredicatesOn(base_name),
+                            YearMode::kExact, binner)
+                      .ValueOrDie();
+      const std::vector<uint64_t>& keys =
+          *base->table.column(base->spec.key_column).ValueOrDie();
+      uint64_t expected = 0;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (!mask[i]) continue;
+        bool pass = true;
+        for (const std::string& other : q.tables) {
+          if (other == base_name) continue;
+          if (!filters.Probe(other, keys[i], q.PredicatesOn(other))
+                   .ValueOrDie()) {
+            pass = false;
+            break;
+          }
+        }
+        expected += pass;
+      }
+      EXPECT_EQ(results[inst].exact.base_table, base_name) << label;
+      EXPECT_EQ(results[inst].m_filtered, expected)
+          << label << " query " << q.id << " base " << base_name;
+      ++inst;
+    }
+  }
+  EXPECT_EQ(inst, results.size()) << label;
+}
+
+TEST_F(JoinIntegrationTest, EvaluateMatchesRowByRowScalarProbes) {
+  for (CcfVariant variant :
+       {CcfVariant::kChained, CcfVariant::kMixed, CcfVariant::kBloom}) {
+    auto filters = BuildAllCcfs(*dataset_, SmallParams(variant)).ValueOrDie();
+    CcfFilterSet set(&filters);
+    ExpectEvaluateMatchesRowByRow(*evaluator_, *dataset_, *queries_, set,
+                                  std::string(CcfVariantName(variant)));
+  }
+  auto cuckoo_set = CuckooFilterSet::Build(*dataset_, 12, 1).ValueOrDie();
+  ExpectEvaluateMatchesRowByRow(*evaluator_, *dataset_, *queries_, cuckoo_set,
+                                "cuckoo");
+}
+
 TEST_F(JoinIntegrationTest, BuiltCcfCompilesRangePredicates) {
   CcfBuildParams params = SmallParams(CcfVariant::kChained);
   const TableData* title = dataset_->FindTable("title").ValueOrDie();
