@@ -846,6 +846,45 @@ void BM_HotCrudMix(benchmark::State& state) {
 }
 BENCHMARK(BM_HotCrudMix)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The first erase commit of a shard: the lazy build of its log's key index
+// over every logged row, plus the commit of one erase. Each iteration
+// erases one row of a shard that has never committed an erase, so a fresh
+// 8-shard hot table (untimed) serves eight iterations. Items are the
+// shard's log rows, so the rate is rows indexed per second.
+void BM_HotShardedFirstErase(benchmark::State& state) {
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> flat_attrs;
+  MakeHotRows(&keys, &flat_attrs);
+  ShardedCcfOptions opts;
+  opts.num_shards = 8;
+  std::unique_ptr<ShardedCcf> sharded;
+  size_t next_shard = 0;
+  int64_t log_rows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (next_shard == 0) {
+      sharded.reset();
+      sharded = ShardedCcf::Make(CcfVariant::kChained, HotPathConfig(), opts)
+                    .ValueOrDie();
+      sharded->InsertParallel(keys, flat_attrs).Abort();
+    }
+    const int s = static_cast<int>(next_shard);
+    uint64_t key = 0;
+    while (sharded->ShardOf(key) != next_shard) ++key;
+    sharded
+        ->BufferErase(key, std::span<const uint64_t>(&flat_attrs[2 * key], 2))
+        .Abort();
+    log_rows += static_cast<int64_t>(sharded->shard(s).num_rows());
+    next_shard = (next_shard + 1) % static_cast<size_t>(opts.num_shards);
+    state.ResumeTiming();
+    sharded->CommitWrites().Abort();
+    benchmark::DoNotOptimize(sharded->dead_log_rows());
+  }
+  state.SetItemsProcessed(log_rows);
+  state.SetLabel("sharded-first-erase");
+}
+BENCHMARK(BM_HotShardedFirstErase)->Unit(benchmark::kMillisecond);
+
 // Sharded parallel build: rows/sec by build thread count.
 void BM_ShardedParallelBuild(benchmark::State& state) {
   int threads = static_cast<int>(state.range(0));

@@ -9,7 +9,6 @@
 #include <bit>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "hash/hasher.h"
 #include "sketch/attr_fingerprint.h"
 #include "util/batch_pipeline.h"
+#include "util/key_index.h"
 #include "util/random.h"
 
 namespace ccf {
@@ -94,9 +94,12 @@ struct ChainCursors {
     /// (payload word, hop) of the fp copies in hops [1, walk.hops()).
     std::vector<std::pair<uint64_t, int>> words;
   };
-  /// Keyed by (min bucket of the first pair, fp): aliases share a chain,
-  /// and both orientations of a first pair walk the same later pairs.
-  std::unordered_map<uint64_t, Cursor> by_start;
+  /// Cursor c walks the chain keyed starts[c]: (min bucket of the first
+  /// pair, fp), so aliases share a chain, and both orientations of a first
+  /// pair walk the same later pairs. `index` finds c from the key.
+  std::vector<uint64_t> starts;
+  std::vector<Cursor> cursors;
+  KeyIndex index;
 };
 
 /// \brief Common state + helpers for CCF implementations.

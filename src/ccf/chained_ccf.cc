@@ -72,8 +72,8 @@ Status ChainedCcf::InsertAddressed(const BucketPair& first_pair, uint32_t fp,
       fp;
   ChainCursors::Cursor* cursor = nullptr;
   if (cursors != nullptr) {
-    auto it = cursors->by_start.find(start_key);
-    if (it != cursors->by_start.end()) cursor = &it->second;
+    cursors->index.ForEach(cursors->starts, start_key,
+                           [&](uint32_t c) { cursor = &cursors->cursors[c]; });
   }
   if (cursor == nullptr) {
     const int direct = cursors != nullptr && packed
@@ -87,10 +87,10 @@ Status ChainedCcf::InsertAddressed(const BucketPair& first_pair, uint32_t fp,
       if (copies < config_.max_dupes) return place(walk.pair(), hop);
     }
     if (direct == ChainCap()) return overflow();
-    cursor = &cursors->by_start
-                  .try_emplace(start_key, &hasher_, table_->bucket_mask(),
-                               first_pair.primary, fp)
-                  .first->second;
+    cursors->starts.push_back(start_key);
+    cursors->index.Append(cursors->starts);
+    cursor = &cursors->cursors.emplace_back(&hasher_, table_->bucket_mask(),
+                                            first_pair.primary, fp);
   }
   for (const auto& [word, hop] : cursor->words) {
     if (word == payload) return collapse(hop);

@@ -143,6 +143,35 @@ Status AggregateShardStatus(std::span<const Status> shard_status) {
   return Status::OK();
 }
 
+// Rows of a retained-log layout (keys, row-major attrs, two memo words per
+// row).
+struct LogRows {
+  std::vector<uint64_t> keys, attrs, memo;
+};
+
+// The rows r of (keys, attrs, memo) with skip[r] == 0, in order.
+LogRows KeepRows(std::span<const uint64_t> keys,
+                 std::span<const uint64_t> attrs,
+                 std::span<const uint64_t> memo,
+                 std::span<const uint8_t> skip) {
+  const size_t num_attrs = keys.empty() ? 0 : attrs.size() / keys.size();
+  const size_t kept =
+      static_cast<size_t>(std::count(skip.begin(), skip.end(), 0));
+  LogRows out;
+  out.keys.reserve(kept);
+  out.attrs.reserve(kept * num_attrs);
+  out.memo.reserve(kept * 2);
+  for (size_t r = 0; r < keys.size(); ++r) {
+    if (skip[r]) continue;
+    out.keys.push_back(keys[r]);
+    out.attrs.insert(out.attrs.end(), attrs.begin() + r * num_attrs,
+                     attrs.begin() + (r + 1) * num_attrs);
+    out.memo.insert(out.memo.end(), memo.begin() + 2 * r,
+                    memo.begin() + 2 * r + 2);
+  }
+  return out;
+}
+
 }  // namespace
 
 ShardedCcf::ShardedCcf(
@@ -306,43 +335,23 @@ void ShardedCcf::RetireBuffer(Shard& shard, WriteBuffer* old) {
 void ShardedCcf::LogAppendRows(Shard& shard, std::span<const uint64_t> keys,
                                std::span<const uint64_t> attrs,
                                std::span<const uint64_t> memo) {
-  size_t first = shard.keys.size();
   shard.keys.insert(shard.keys.end(), keys.begin(), keys.end());
   shard.attrs.insert(shard.attrs.end(), attrs.begin(), attrs.end());
   shard.memo.insert(shard.memo.end(), memo.begin(), memo.end());
   shard.dead.resize(shard.keys.size(), 0);
-  if (shard.index_built) {
-    for (size_t r = 0; r < keys.size(); ++r) {
-      shard.row_index[keys[r]].push_back(static_cast<uint32_t>(first + r));
-    }
-  }
+  if (shard.row_index.built()) shard.row_index.Append(shard.keys);
 }
 
 void ShardedCcf::LogTruncate(Shard& shard, size_t old_rows) {
   const size_t num_attrs = static_cast<size_t>(config().num_attrs);
-  for (size_t r = shard.keys.size(); r-- > old_rows;) {
-    if (shard.dead[r]) --shard.dead_count;
-    if (shard.index_built) {
-      // Truncated rows are the newest entries of their key's list.
-      auto it = shard.row_index.find(shard.keys[r]);
-      it->second.pop_back();
-      if (it->second.empty()) shard.row_index.erase(it);
-    }
+  for (size_t r = old_rows; r < shard.keys.size(); ++r) {
+    shard.dead_count -= shard.dead[r];
   }
+  shard.row_index.Truncate(shard.keys, old_rows);
   shard.keys.resize(old_rows);
   shard.attrs.resize(old_rows * num_attrs);
   shard.memo.resize(old_rows * 2);
   shard.dead.resize(old_rows);
-}
-
-void ShardedCcf::EnsureLogIndex(Shard& shard) {
-  if (shard.index_built) return;
-  shard.dead.resize(shard.keys.size(), 0);
-  shard.row_index.clear();
-  for (size_t r = 0; r < shard.keys.size(); ++r) {
-    shard.row_index[shard.keys[r]].push_back(static_cast<uint32_t>(r));
-  }
-  shard.index_built = true;
 }
 
 Status ShardedCcf::BufferWrite(uint64_t key, std::span<const uint64_t> attrs) {
@@ -469,60 +478,44 @@ Status ShardedCcf::CommitShardLocked(size_t s, Shard& shard) {
   // Plan the batch's net effect on the log. An erase record kills its
   // (key, payload) class: the committed log rows found through the key
   // index are marked dead, and matching inserts staged BEFORE it in this
-  // batch never land. Dead rows' table entries stay as one-sided residue
-  // (false positives only) until a rebuild from the survivors. An
-  // erase-free batch passes the staged spans straight through.
+  // batch (older records of its own overlay chain) never land. Dead rows'
+  // table entries stay as one-sided residue (false positives only) until a
+  // rebuild from the survivors. An erase-free batch passes the staged
+  // spans straight through.
   std::span<const uint64_t> keys = pending->keys(n);
   std::span<const uint64_t> attrs = pending->attrs(n);
-  std::vector<uint64_t> memo;
-  std::vector<uint64_t> live_keys, live_attrs;
+  std::span<const uint64_t> staged_memo = pending->memo(n);
+  LogRows live;  // the surviving records; only `memo` when nothing drops
   std::vector<uint32_t> killed;  // log rows marked dead by this batch
   if (pending->num_erases_unsync() == 0) {
-    std::span<const uint64_t> staged_memo = pending->memo(n);
-    memo.assign(staged_memo.begin(), staged_memo.end());
+    live.memo.assign(staged_memo.begin(), staged_memo.end());
   } else {
-    EnsureLogIndex(shard);
+    if (!shard.row_index.built()) shard.row_index.Build(shard.keys);
     std::vector<uint8_t> dropped(n, 0);  // erase records + killed inserts
-    std::unordered_map<uint64_t, std::vector<uint32_t>> staged_inserts;
     for (size_t i = 0; i < n; ++i) {
-      const uint64_t key = pending->key(i);
-      if (pending->op(i) == WriteBuffer::kOpInsert) {
-        staged_inserts[key].push_back(static_cast<uint32_t>(i));
-        continue;
-      }
+      if (pending->op(i) == WriteBuffer::kOpInsert) continue;
       dropped[i] = 1;
       const uint64_t payload = pending->payload(i);
-      if (auto it = staged_inserts.find(key); it != staged_inserts.end()) {
-        for (uint32_t r : it->second) {
-          if (pending->payload(r) == payload) dropped[r] = 1;
+      pending->ForEachOlderInsert(i, [&](size_t j) {
+        if (pending->payload(j) == payload) dropped[j] = 1;
+      });
+      shard.row_index.ForEach(shard.keys, pending->key(i), [&](uint32_t row) {
+        if (!shard.dead[row] && shard.memo[2 * row + 1] == payload) {
+          shard.dead[row] = 1;
+          killed.push_back(row);
         }
-      }
-      if (auto it = shard.row_index.find(key); it != shard.row_index.end()) {
-        for (uint32_t row : it->second) {
-          if (!shard.dead[row] && shard.memo[2 * row + 1] == payload) {
-            shard.dead[row] = 1;
-            killed.push_back(row);
-          }
-        }
-      }
+      });
     }
     shard.dead_count += killed.size();
-    for (size_t r = 0; r < n; ++r) {
-      if (dropped[r]) continue;
-      live_keys.push_back(pending->key(r));
-      std::span<const uint64_t> row_attrs = pending->attrs_row(r);
-      live_attrs.insert(live_attrs.end(), row_attrs.begin(), row_attrs.end());
-      memo.push_back(pending->key_hash(r));
-      memo.push_back(pending->payload(r));
-    }
-    keys = live_keys;
-    attrs = live_attrs;
+    live = KeepRows(keys, attrs, staged_memo, dropped);
+    keys = live.keys;
+    attrs = live.attrs;
   }
   // Mirror the surviving inserts into the retained log in staging order —
   // the arrival-order contract that makes a later rebuild bit-identical to
   // a from-scratch batched build of the live row set.
   const size_t old_rows = shard.keys.size();
-  if (resizable_) LogAppendRows(shard, keys, attrs, memo);
+  if (resizable_) LogAppendRows(shard, keys, attrs, live.memo);
 
   // Build the surviving inserts into the copy-on-write clone OFF the
   // serving path: Clone shares the published table and InsertBatch unshares
@@ -531,7 +524,7 @@ Status ShardedCcf::CommitShardLocked(size_t s, Shard& shard) {
   // re-masks, it never re-hashes. An erase-only batch publishes the shared
   // table unchanged, with only its row count restamped.
   Status st;
-  if (!keys.empty()) st = clone->InsertBatch(keys, attrs, &memo);
+  if (!keys.empty()) st = clone->InsertBatch(keys, attrs, &live.memo);
   if (st.ok()) {
     StampLiveRows(shard, clone.get());
     shard.handle.Publish(std::move(clone));
@@ -889,28 +882,14 @@ Status ShardedCcf::RebuildShardLocked(Shard& shard, uint64_t num_buckets) {
   // hashes are re-masked at the new geometry, not re-hashed). InsertBatch is
   // deterministic, so the result is bit-identical to a from-scratch batched
   // build of the surviving rows: no erase residue survives a rebuild.
-  std::vector<uint64_t> live_keys, live_attrs, live_memo;
+  LogRows live;
   if (shard.dead_count == 0) {
     CCF_RETURN_NOT_OK(
         fresh->InsertBatch(shard.keys, shard.attrs, &shard.memo));
   } else {
-    const size_t num_attrs = static_cast<size_t>(config().num_attrs);
-    size_t live = shard.keys.size() - shard.dead_count;
-    live_keys.reserve(live);
-    live_attrs.reserve(live * num_attrs);
-    live_memo.reserve(live * 2);
-    for (size_t r = 0; r < shard.keys.size(); ++r) {
-      if (shard.dead[r]) continue;
-      live_keys.push_back(shard.keys[r]);
-      live_attrs.insert(
-          live_attrs.end(),
-          shard.attrs.begin() + static_cast<ptrdiff_t>(r * num_attrs),
-          shard.attrs.begin() + static_cast<ptrdiff_t>((r + 1) * num_attrs));
-      live_memo.push_back(shard.memo[2 * r]);
-      live_memo.push_back(shard.memo[2 * r + 1]);
-    }
+    live = KeepRows(shard.keys, shard.attrs, shard.memo, shard.dead);
     // On failure the table and log are untouched.
-    CCF_RETURN_NOT_OK(fresh->InsertBatch(live_keys, live_attrs, &live_memo));
+    CCF_RETURN_NOT_OK(fresh->InsertBatch(live.keys, live.attrs, &live.memo));
   }
   // Swap the snapshot in one atomic publish; concurrent readers finish
   // their probes against the old table, which the epoch domain frees once
@@ -919,18 +898,13 @@ Status ShardedCcf::RebuildShardLocked(Shard& shard, uint64_t num_buckets) {
   shard.handle.Publish(std::move(fresh));
   if (shard.dead_count != 0) {
     // The table now reflects exactly the survivors: rewrite the log (and
-    // the key index, if built) to match.
-    shard.keys.swap(live_keys);
-    shard.attrs.swap(live_attrs);
-    shard.memo.swap(live_memo);
+    // relink the key index over them, if built) to match.
+    shard.keys.swap(live.keys);
+    shard.attrs.swap(live.attrs);
+    shard.memo.swap(live.memo);
     shard.dead.assign(shard.keys.size(), 0);
     shard.dead_count = 0;
-    if (shard.index_built) {
-      shard.row_index.clear();
-      for (size_t r = 0; r < shard.keys.size(); ++r) {
-        shard.row_index[shard.keys[r]].push_back(static_cast<uint32_t>(r));
-      }
-    }
+    if (shard.row_index.built()) shard.row_index.Build(shard.keys);
   }
   (same_geometry ? num_compactions_ : num_resizes_)
       .fetch_add(1, std::memory_order_relaxed);

@@ -68,12 +68,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "ccf/ccf.h"
 #include "ccf/ccf_base.h"
 #include "util/epoch.h"
+#include "util/key_index.h"
 #include "util/topology.h"
 
 namespace ccf {
@@ -513,7 +513,7 @@ class ShardedCcf : public ConditionalCuckooFilter {
     /// recycled block no reader can hold anymore; writer-side).
     void Reset() {
       for (size_t h = 0; h < capacity_; ++h) {
-        heads_[h].store(kNoRecord, std::memory_order_relaxed);
+        heads_[h].store(KeyIndex::kNone, std::memory_order_relaxed);
       }
       num_erases_ = 0;
       size_.store(0, std::memory_order_relaxed);
@@ -525,7 +525,6 @@ class ShardedCcf : public ConditionalCuckooFilter {
     /// Per-record reads (valid for published records, or writer-side).
     uint8_t op(size_t i) const { return ops_[i]; }
     uint64_t key(size_t i) const { return keys_[i]; }
-    uint64_t key_hash(size_t i) const { return memo_[2 * i]; }
     uint64_t payload(size_t i) const { return memo_[2 * i + 1]; }
     std::span<const uint64_t> attrs_row(size_t i) const {
       return {attrs_.data() + i * num_attrs_, num_attrs_};
@@ -547,7 +546,7 @@ class ShardedCcf : public ConditionalCuckooFilter {
       erased->clear();
       const size_t n = size();
       for (uint32_t i = heads_[HeadSlot(key)].load(std::memory_order_acquire);
-           i != kNoRecord; i = next_[i]) {
+           i != KeyIndex::kNone; i = next_[i]) {
         if (i >= n || keys_[i] != key) continue;
         const uint64_t p = payload(i);
         if (ops_[i] == kOpErase) {
@@ -564,6 +563,15 @@ class ShardedCcf : public ConditionalCuckooFilter {
       return false;
     }
 
+    /// Calls f(j) for every insert record j < i of record i's key, newest
+    /// first: the rows an erase record i kills (writer-side, for commit).
+    template <typename F>
+    void ForEachOlderInsert(size_t i, F&& f) const {
+      for (uint32_t j = next_[i]; j != KeyIndex::kNone; j = next_[j]) {
+        if (keys_[j] == keys_[i] && ops_[j] == kOpInsert) f(j);
+      }
+    }
+
     /// Record views over the first `n` records (writer-side, for commit).
     std::span<const uint64_t> keys(size_t n) const {
       return {keys_.data(), n};
@@ -576,11 +584,7 @@ class ShardedCcf : public ConditionalCuckooFilter {
     }
 
    private:
-    static constexpr uint32_t kNoRecord = UINT32_MAX;
-
-    size_t HeadSlot(uint64_t key) const {
-      return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> head_shift_);
-    }
+    size_t HeadSlot(uint64_t key) const { return KeySlot(key, head_shift_); }
     /// Makes record i the newest of its chain (writer-side, before the
     /// size store that publishes it).
     void Link(size_t i) {
@@ -631,10 +635,10 @@ class ShardedCcf : public ConditionalCuckooFilter {
     /// residue — and every rebuild rewrites the log from the survivors.
     std::vector<uint8_t> dead;  // parallel to keys; 1 = erased row
     size_t dead_count = 0;
-    /// key → log row indices, built lazily by the first CRUD commit and
-    /// maintained by LogAppendRows/LogTruncate afterwards.
-    std::unordered_map<uint64_t, std::vector<uint32_t>> row_index;
-    bool index_built = false;
+    /// key → log rows over `keys`, built lazily by the first CRUD commit
+    /// (shards that never erase pay nothing) and kept in step by
+    /// LogAppendRows, LogTruncate and RebuildShardLocked afterwards.
+    KeyIndex row_index;
     /// Staged rows (null when none): readers load under an epoch pin;
     /// writers mutate/swap under writer_mu. Swapped-out blocks are retired
     /// into the epoch domain and recycled through `spare`.
@@ -696,9 +700,6 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// Drops log rows [old_rows, end) (rollback of a failed append); caller
   /// holds writer_mu.
   void LogTruncate(Shard& shard, size_t old_rows);
-  /// Builds the key → log rows index on first CRUD use; caller holds
-  /// writer_mu.
-  void EnsureLogIndex(Shard& shard);
   /// Rebuilds the shard at its current geometry when the dead fraction of
   /// the log crosses options_.compact_watermark; caller holds writer_mu.
   void MaybeCompactShard(Shard& shard);

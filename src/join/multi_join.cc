@@ -299,7 +299,8 @@ Result<MultiJoinResult> ExactChainReference(const ImdbDataset& dataset,
       std::vector<char> title_mask,
       MatchMask(title, query.PredicatesOn("title"), YearMode::kExact,
                 year_binner));
-  std::unordered_set<uint64_t> live = SurvivingKeys(title, title_mask);
+  CCF_ASSIGN_OR_RETURN(std::unordered_set<uint64_t> live,
+                       CollectSurvivingKeys(title, title_mask));
   {
     MultiJoinStep step;
     step.table = "title";

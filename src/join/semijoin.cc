@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+
+#include "util/key_index.h"
 
 namespace ccf {
 
@@ -39,16 +42,17 @@ Result<std::vector<char>> MatchMask(
   return mask;
 }
 
+Result<std::unordered_set<uint64_t>> CollectSurvivingKeys(
+    const TableData& table, const std::vector<char>& mask) {
+  CCF_ASSIGN_OR_RETURN(DistinctKeys distinct, CollectDistinctKeys(table, mask));
+  return std::unordered_set<uint64_t>(distinct.keys.begin(),
+                                      distinct.keys.end());
+}
+
 std::unordered_set<uint64_t> SurvivingKeys(const TableData& table,
                                            const std::vector<char>& mask) {
-  std::unordered_set<uint64_t> keys;
-  auto key_col = table.table.column(table.spec.key_column);
-  if (!key_col.ok()) return keys;
-  const auto& kc = **key_col;
-  for (size_t i = 0; i < kc.size(); ++i) {
-    if (mask[i]) keys.insert(kc[i]);
-  }
-  return keys;
+  auto keys = CollectSurvivingKeys(table, mask);
+  return keys.ok() ? std::move(*keys) : std::unordered_set<uint64_t>{};
 }
 
 namespace {
@@ -59,7 +63,7 @@ constexpr size_t kChunkRows = 256;
 // The slot holding `key`, or the empty slot where it belongs.
 size_t SlotOf(const DistinctKeys& d, uint64_t key) {
   const size_t wrap = d.slots.size() - 1;
-  size_t s = (key * 0x9E3779B97F4A7C15ULL) >> d.shift;
+  size_t s = KeySlot(key, d.shift);
   while (d.slots[s] != 0 && d.keys[d.slots[s] - 1] != key) {
     s = (s + 1) & wrap;
   }
@@ -146,8 +150,10 @@ Result<std::vector<InstanceExact>> ComputeExactCounts(
       CCF_ASSIGN_OR_RETURN(
           std::vector<char> mb,
           MatchMask(*td, preds, YearMode::kBinned, year_binner));
-      keys_exact.push_back(SurvivingKeys(*td, me));
-      keys_binned.push_back(SurvivingKeys(*td, mb));
+      CCF_ASSIGN_OR_RETURN(auto exact, CollectSurvivingKeys(*td, me));
+      CCF_ASSIGN_OR_RETURN(auto binned, CollectSurvivingKeys(*td, mb));
+      keys_exact.push_back(std::move(exact));
+      keys_binned.push_back(std::move(binned));
       masks_exact.push_back(std::move(me));
     }
 

@@ -29,7 +29,14 @@ Result<std::vector<char>> MatchMask(
     const TableData& table, const std::vector<const QueryPredicate*>& preds,
     YearMode year_mode, const RangeBinner& year_binner);
 
-/// Distinct join-key values of rows where `mask` is set.
+/// Distinct join-key values of rows where `mask` is set. Fails as
+/// CollectDistinctKeys does: on a wrong-length mask or a missing key column.
+Result<std::unordered_set<uint64_t>> CollectSurvivingKeys(
+    const TableData& table, const std::vector<char>& mask);
+
+/// CollectSurvivingKeys with any error answered by an empty set: the form
+/// perfbench's ground-truth audit calls, which always passes a MatchMask of
+/// the table. Library code calls CollectSurvivingKeys.
 std::unordered_set<uint64_t> SurvivingKeys(const TableData& table,
                                            const std::vector<char>& mask);
 

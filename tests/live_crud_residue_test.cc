@@ -332,6 +332,79 @@ TEST_P(LiveCrudRowCountTest, NumRowsIsLiveLogRows) {
 INSTANTIATE_TEST_SUITE_P(AllVariants, LiveCrudRowCountTest, kAllVariants,
                          VariantName);
 
+// --- Failed commit rollback --------------------------------------------------
+
+class LiveCrudRollbackTest : public ::testing::TestWithParam<CcfVariant> {};
+
+// A CRUD commit that fails with CapacityError after the key index is built
+// must leave no trace: the log and its dead marks are restored exactly
+// (the rows it appended are unlinked from the index again), its records
+// stay staged and visible, and a later erase still finds the rows that were
+// logged before the failure, through chains the failed append had grown.
+TEST_P(LiveCrudRollbackTest, FailedCommitRestoresLogAndIndex) {
+  CcfConfig config = AliasConfig(13);
+  config.key_fp_bits = 12;
+  ShardedCcfOptions opts;
+  opts.num_shards = 1;
+  opts.max_auto_resizes = 0;   // a full table fails instead of doubling
+  opts.compact_watermark = 0;  // keep the dead marks in the log
+  auto f = ShardedCcf::Make(GetParam(), config, opts).ValueOrDie();
+  auto attrs_of = [](uint64_t k) {
+    return std::vector<uint64_t>{k % 5, k % 7};
+  };
+  constexpr uint64_t kCommitted = 100;
+  for (uint64_t k = 0; k < kCommitted; ++k) {
+    ASSERT_TRUE(f->BufferWrite(k, attrs_of(k)).ok());
+  }
+  ASSERT_TRUE(f->CommitWrites().ok());
+  ASSERT_TRUE(f->BufferErase(0, attrs_of(0)).ok());
+  ASSERT_TRUE(f->CommitWrites().ok());  // builds the key index
+  ASSERT_EQ(f->dead_log_rows(), 1u);
+
+  // One erase of a logged row, a new row of logged key 2, and far more new
+  // keys than the 384-slot table holds, even after compacting.
+  const std::vector<uint64_t> new_attrs = {9, 9};
+  constexpr uint64_t kFirstNew = 1000, kNew = 2000;
+  ASSERT_TRUE(f->BufferErase(1, attrs_of(1)).ok());
+  ASSERT_TRUE(f->BufferWrite(2, new_attrs).ok());
+  for (uint64_t k = kFirstNew; k < kFirstNew + kNew; ++k) {
+    ASSERT_TRUE(f->BufferWrite(k, attrs_of(k)).ok());
+  }
+  const Status failed = f->CommitWrites();
+  ASSERT_EQ(failed.code(), StatusCode::kCapacityError) << failed.ToString();
+
+  EXPECT_EQ(f->retained_log_rows(), kCommitted);
+  EXPECT_EQ(f->dead_log_rows(), 1u);
+  EXPECT_EQ(f->num_rows(), kCommitted - 1);
+  EXPECT_EQ(f->pending_writes(), kNew + 2);
+  EXPECT_TRUE(f->ContainsRow(2, new_attrs));
+  EXPECT_TRUE(f->ContainsRow(2, attrs_of(2)));
+  for (uint64_t k = kFirstNew; k < kFirstNew + kNew; k += 97) {
+    EXPECT_TRUE(f->ContainsRow(k, attrs_of(k))) << "staged key " << k;
+  }
+
+  // Withdraw the staged inserts and erase key 2's logged row: the commit
+  // now fits, and the index must still reach rows 1 and 2.
+  ASSERT_TRUE(f->BufferErase(2, new_attrs).ok());
+  ASSERT_TRUE(f->BufferErase(2, attrs_of(2)).ok());
+  for (uint64_t k = kFirstNew; k < kFirstNew + kNew; ++k) {
+    ASSERT_TRUE(f->BufferErase(k, attrs_of(k)).ok());
+  }
+  ASSERT_TRUE(f->CommitWrites().ok());
+  EXPECT_EQ(f->pending_writes(), 0u);
+  EXPECT_EQ(f->retained_log_rows(), kCommitted);
+  EXPECT_EQ(f->dead_log_rows(), 3u);  // rows of keys 0, 1 and 2
+  EXPECT_EQ(f->num_rows(), kCommitted - 3);
+  for (uint64_t k = 3; k < kCommitted; ++k) {
+    EXPECT_TRUE(f->ContainsRow(k, attrs_of(k))) << "key " << k;
+  }
+  ASSERT_TRUE(f->Compact().ok());
+  EXPECT_EQ(f->retained_log_rows(), kCommitted - 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, LiveCrudRollbackTest, kAllVariants,
+                         VariantName);
+
 struct GrowthParam {
   CcfVariant variant;
   bool watermark;  // growth trigger: load watermark, else CapacityError

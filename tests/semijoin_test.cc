@@ -91,6 +91,24 @@ TEST(SurvivingKeysTest, CollectsDistinctMatchingKeys) {
   EXPECT_FALSE(keys.contains(2));
 }
 
+TEST(SurvivingKeysTest, CheckedFormMatchesAndRejectsBadInput) {
+  TableData cast = MakeCast();
+  auto keys = CollectSurvivingKeys(cast, {1, 1, 0, 1});
+  ASSERT_TRUE(keys.ok());
+  EXPECT_EQ(*keys, SurvivingKeys(cast, {1, 1, 0, 1}));
+
+  // A mask shorter than the table is rejected, not read past its end.
+  auto short_mask = CollectSurvivingKeys(cast, {1, 1});
+  ASSERT_FALSE(short_mask.ok());
+  EXPECT_EQ(short_mask.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(SurvivingKeys(cast, {1, 1}).empty());
+
+  // A missing key column is an error, not an empty key set.
+  TableData no_key = MakeCast();
+  no_key.spec.key_column = "nonexistent";
+  EXPECT_FALSE(CollectSurvivingKeys(no_key, {1, 1, 0, 1}).ok());
+}
+
 TableData MakeKeyOnly(const std::vector<uint64_t>& keys) {
   TableData td;
   td.spec.name = "keys";
